@@ -1,9 +1,9 @@
 """Filament detection in 2-D point clouds via steepest-ascent path density."""
 
-from .flow import (AscentPath, CriticalPoint, FlowConfig, TracedSegments,
+from .flow import (AscentPath, CriticalPoint, FlowConfig,
                    classify_critical_point, find_critical_points,
                    kde_flow_config, mean_shift_path, mean_shift_paths,
-                   trace_ascent_path, trace_ascent_paths, trace_ascent_segments)
+                   trace_ascent_path, trace_ascent_paths)
 from .grids import GridField, GridSpec
 from .kernels import (KernelDensityField, KernelSpec, PointCloud, kde_density,
                       kde_gradient, kde_hessian, kernel_value)

@@ -22,7 +22,8 @@ from .levelset import level_set, quantile_threshold
 from .model import FilamentModel, random_pentagon_model, two_gaussian_model
 from .oracle import convergence_experiment, model_flow_config, oracle_field
 from .parallel import worker_count
-from .path_density import PathEnsemble, default_bandwidths, path_density_field
+from .path_density import (PathEnsemble, default_bandwidths, path_density_field,
+                           trimmed_vertices)
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -63,21 +64,22 @@ def read_points_csv(path) -> PointCloud:
             if len(parts) != 2:
                 raise DataError(f"{path}: line {lineno}: expected two fields")
             try:
-                rows.append((float(parts[0]), float(parts[1])))
+                row = (float(parts[0]), float(parts[1]))
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: non-numeric value")
+            if not np.all(np.isfinite(row)):
+                raise DataError(f"{path}: line {lineno}: non-finite value")
+            rows.append(row)
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 points")
     return PointCloud(np.asarray(rows))
 
 
-def write_paths_csv(path, paths, trims=None):
+def write_paths_csv(path, paths):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("path_id,step,x,y\n")
         for pid, p in enumerate(paths):
-            start = 0 if trims is None else min(trims[pid], len(p.vertices) - 1)
-            for step in range(start, len(p.vertices)):
-                x, y = p.vertices[step]
+            for step, (x, y) in enumerate(p.vertices):
                 f.write(f"{pid},{step},{_fmt(x)},{_fmt(y)}\n")
 
 
@@ -171,15 +173,32 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_bounds(text):
-    parts = [float(t) for t in text.split(",")]
+    try:
+        parts = [float(t) for t in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 4:
-        raise UsageError("--bounds needs xmin,xmax,ymin,ymax")
+        raise UsageError("--bounds needs four numbers xmin,xmax,ymin,ymax")
     return tuple(parts)
 
 
 def cmd_estimate(args) -> int:
     t_start = time.time()
+    if not 0.0 < args.quantile < 1.0:
+        raise UsageError("--quantile must lie strictly between 0 and 1")
+    if args.grid < 2:
+        raise UsageError("--grid needs at least 2 nodes per axis")
+    trim = None
+    if args.trim != "auto":
+        try:
+            trim = int(args.trim)
+        except ValueError:
+            raise UsageError("--trim must be an integer or 'auto'")
+        if trim < 0:
+            raise UsageError("--trim must be nonnegative")
     cloud = read_points_csv(args.points)
+    if cloud.spread <= 0:
+        raise DataError(f"{args.points}: all points coincide (spread 0)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     kernel = KernelSpec()
@@ -194,7 +213,10 @@ def cmd_estimate(args) -> int:
         raise UsageError("bandwidths must be positive")
 
     bounds = _parse_bounds(args.bounds) if args.bounds else cloud.bounds(margin=0.05)
-    grid = GridSpec.from_bounds(bounds, args.grid)
+    try:
+        grid = GridSpec.from_bounds(bounds, args.grid)
+    except ValueError as e:  # degenerate bounds, given or spanned by the data
+        raise (UsageError if args.bounds else DataError)(str(e))
     cfg = kde_flow_config(cloud, kernel, h)
 
     if args.tracer == "meanshift":
@@ -212,21 +234,14 @@ def cmd_estimate(args) -> int:
     lam = quantile_threshold(fld, cloud, args.quantile)
     mask_set = level_set(fld, lam)
 
-    if args.trim == "auto":
-        trims = [p.trim_hint for p in paths]
-    else:
-        try:
-            trims = [int(args.trim)] * len(paths)
-        except ValueError:
-            raise UsageError("--trim must be an integer or 'auto'")
-
+    trims = [p.trim_hint if trim is None else trim for p in paths]
     write_paths_csv(out / "paths.csv", paths)
     write_field_csv(out / "field.csv", fld)
     write_mask_csv(out / "levelset.csv", mask_set.mask, grid)
     svg = render_four_panel_svg(
         cloud.points,
         [p.vertices for p in paths],
-        [p.vertices[min(t, len(p.vertices) - 1):] for p, t in zip(paths, trims)],
+        [trimmed_vertices(p, t) for p, t in zip(paths, trims)],
         mask_set.mask, grid, bounds,
     )
     with open(out / "figure.svg", "w", encoding="utf-8") as f:

@@ -20,11 +20,7 @@ class ScalarField(Protocol):
 
 
 class FlowNumericalError(RuntimeError):
-    """Non-finite field value along a path; carries the last valid prefix."""
-
-    def __init__(self, message, partial_path=None):
-        super().__init__(message)
-        self.partial_path = partial_path
+    """Non-finite field value or position along a path."""
 
 
 class MeanShiftUnderflowError(RuntimeError):
@@ -96,49 +92,6 @@ class AscentPath:
         return self.vertices[-1]
 
 
-@dataclass
-class TracedSegments:
-    """Flat polyline soup for a batch of trajectories, grouped by path.
-
-    seg_a[k] -> seg_b[k] is one step of path path_of_seg[k]; segments are
-    sorted by path. Paths that never moved contribute one degenerate segment
-    so every path keeps at least one entry.
-    """
-
-    seg_a: np.ndarray
-    seg_b: np.ndarray
-    path_of_seg: np.ndarray
-    offsets: np.ndarray
-    starts: np.ndarray
-    ends: np.ndarray
-    terminal_gradient_norm: np.ndarray
-    converged: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.starts)
-
-    def min_distances(self, point) -> np.ndarray:
-        """Per-path minimum distance to one query point, shape (n_paths,)."""
-        p = np.asarray(point).astype(self.seg_a.dtype)
-        d = _point_segment_distance_flat(p, self.seg_a, self.seg_b)
-        return np.minimum.reduceat(d, self.offsets[:-1])
-
-
-def _point_segment_distance_flat(p, a, b):
-    d = b - a
-    len2 = d[:, 0] ** 2 + d[:, 1] ** 2
-    diff0 = p[0] - a[:, 0]
-    diff1 = p[1] - a[:, 1]
-    t = diff0 * d[:, 0] + diff1 * d[:, 1]
-    safe = np.where(len2 > 0, len2, 1.0)
-    t = np.clip(t / safe, 0.0, 1.0)
-    t = np.where(len2 > 0, t, 0.0)
-    cx = diff0 - t * d[:, 0]
-    cy = diff1 - t * d[:, 1]
-    return np.hypot(cx, cy)
-
-
 @dataclass(frozen=True)
 class CriticalPoint:
     location: np.ndarray
@@ -146,91 +99,61 @@ class CriticalPoint:
     hessian_eigenvalues: tuple[float, float]
 
 
-def _trim_hint(values: np.ndarray, fraction: float) -> int:
-    gain = values[-1] - values[0]
-    if gain <= 0:
-        return 0
-    idx = np.nonzero(values - values[0] >= fraction * gain)[0]
-    return int(idx[0]) if len(idx) else 0
+class _Recorder:
+    """Per-step arrays of every moved path, sorted into paths once at the end.
 
-
-class _PathRecorder:
-    """Accumulates per-step vertices; builds AscentPath objects."""
-
-    def __init__(self, starts, values0):
-        m = len(starts)
-        self.vertices = [[p.copy()] for p in starts]
-        self.times = [[0.0] for _ in range(m)]
-        self.values = [[v] for v in values0]
-
-    def record(self, idx, pos, t, val):
-        for row, p, ti, v in zip(idx, pos, t, val):
-            self.vertices[row].append(p.copy())
-            self.times[row].append(ti)
-            self.values[row].append(v)
-
-    def build(self, terminal_gnorm, converged, trim_fraction):
-        paths = []
-        for i in range(len(self.vertices)):
-            verts = np.asarray(self.vertices[i])
-            vals = np.asarray(self.values[i])
-            paths.append(AscentPath(
-                vertices=verts,
-                times=np.asarray(self.times[i]),
-                step_count=len(verts) - 1,
-                terminal_gradient_norm=float(terminal_gnorm[i]),
-                converged=bool(converged[i]),
-                trim_hint=_trim_hint(vals, trim_fraction),
-            ))
-        return paths
-
-
-class _SegmentRecorder:
-    """Accumulates flat (start, end, path-id) triples per step.
-
-    Stored in float32: Monte-Carlo batches are large and hit tests only
-    compare distances against radii far above float32 resolution.
+    Holds the arrays it is given (callers pass fresh ones). A tracer marks
+    the paths whose last step failed to ascend in `stalled`; build() calls a
+    path converged when it stopped on its own tolerance test, that is, when
+    it is neither still active (cut at max_steps) nor stalled.
     """
 
     def __init__(self, starts, values0):
-        self.starts = starts.copy()
-        self.prev = starts.copy()
-        self.a = []
-        self.b = []
-        self.ids = []
+        m = len(starts)
+        self.ids = [np.arange(m)]
+        self.pos = [starts.copy()]
+        self.times = [np.zeros(m)]
+        self.values = [values0.copy()]
+        self.stalled = np.zeros(m, dtype=bool)
 
     def record(self, idx, pos, t, val):
-        self.a.append(self.prev[idx].astype(np.float32))
-        self.b.append(pos.astype(np.float32))
-        self.ids.append(idx.copy())
-        self.prev[idx] = pos
+        self.ids.append(idx)
+        self.pos.append(pos)
+        self.times.append(t)
+        self.values.append(val)
 
-    def build(self, terminal_gnorm, converged, trim_fraction):
-        m = len(self.starts)
-        if self.ids:
-            ids = np.concatenate(self.ids)
-            a = np.concatenate(self.a)
-            b = np.concatenate(self.b)
-        else:
-            ids = np.empty(0, dtype=int)
-            a = np.empty((0, 2), dtype=np.float32)
-            b = np.empty((0, 2), dtype=np.float32)
-        # paths with no motion still need one (degenerate) segment
-        moved = np.zeros(m, dtype=bool)
-        moved[ids] = True
-        still = np.nonzero(~moved)[0]
-        ids = np.concatenate([ids, still])
-        a = np.concatenate([a, self.starts[still].astype(np.float32)])
-        b = np.concatenate([b, self.starts[still].astype(np.float32)])
+    def build(self, active, terminal_gnorm, trim_fraction) -> list[AscentPath]:
+        # Monte-Carlo batches are large: free each list once it is flat
+        ids = np.concatenate(self.ids)
+        self.ids.clear()
+        counts = np.bincount(ids, minlength=len(self.stalled))
         order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        offsets = np.searchsorted(ids, np.arange(m + 1))
-        return TracedSegments(
-            seg_a=a[order], seg_b=b[order], path_of_seg=ids, offsets=offsets,
-            starts=self.starts, ends=self.prev,
-            terminal_gradient_norm=terminal_gnorm.copy(),
-            converged=converged.copy(),
-        )
+        del ids
+        flat = []
+        for parts in (self.pos, self.times, self.values):
+            flat.append(np.concatenate(parts)[order])
+            parts.clear()
+        del order
+        verts, times, values = flat
+        ends = np.cumsum(counts)
+        first = ends - counts
+
+        # trim hint: first vertex whose value gained trim_fraction of the
+        # path's total gain (0 when the path did not gain)
+        gain = values[ends - 1] - values[first]
+        reached = (values - np.repeat(values[first], counts)
+                   >= trim_fraction * np.repeat(gain, counts))
+        hit = np.where(reached, np.arange(len(values)), len(values))
+        hint = np.minimum.reduceat(hit, first) - first
+        hint[(gain <= 0) | (hint >= counts)] = 0
+
+        converged = ~active & ~self.stalled
+        return [AscentPath(vertices=verts[lo:hi], times=times[lo:hi],
+                           step_count=int(hi - lo - 1),
+                           terminal_gradient_norm=float(g),
+                           converged=bool(c), trim_hint=int(k))
+                for lo, hi, g, c, k in zip(first, ends, terminal_gnorm,
+                                           converged, hint)]
 
 
 def _refine_cap(pos, refine_disks):
@@ -244,7 +167,7 @@ def _refine_cap(pos, refine_disks):
     return cap.min(axis=1)
 
 
-def _ascend(field: ScalarField, starts, cfg: FlowConfig, refine_disks, recorder_cls):
+def _ascend(field: ScalarField, starts, cfg: FlowConfig, refine_disks):
     starts = as_points(starts)
     if refine_disks is not None:
         centers = as_points(refine_disks[0])
@@ -259,7 +182,7 @@ def _ascend(field: ScalarField, starts, cfg: FlowConfig, refine_disks, recorder_
         raise FlowNumericalError("non-finite field value at a start point")
     grad = np.asarray(field.gradient(pos), dtype=float).reshape(m, 2)
     gnorm = np.hypot(grad[:, 0], grad[:, 1])
-    rec = recorder_cls(starts, val)
+    rec = _Recorder(starts, val)
 
     active = gnorm >= cfg.grad_tolerance
     last_dt = np.full(m, np.inf)
@@ -301,10 +224,7 @@ def _ascend(field: ScalarField, starts, cfg: FlowConfig, refine_disks, recorder_
             stalled = ~np.isfinite(v1) | (v1 < v0 - cfg.ascent_tolerance)
 
         if np.any(~np.isfinite(trial[~stalled])):
-            raise FlowNumericalError(
-                "non-finite position along an ascent path",
-                partial_path=rec.build(gnorm, gnorm < cfg.grad_tolerance,
-                                       cfg.trim_fraction))
+            raise FlowNumericalError("non-finite position along an ascent path")
 
         ok = ~stalled
         moved = idx[ok]
@@ -323,9 +243,9 @@ def _ascend(field: ScalarField, starts, cfg: FlowConfig, refine_disks, recorder_
         done[ok] = (gnorm[moved] < cfg.grad_tolerance) | (disp < cfg.min_displacement)
         done[stalled] = True
         active[idx[done]] = False
+        rec.stalled[idx[stalled]] = True
 
-    converged = gnorm < cfg.grad_tolerance
-    return rec.build(gnorm, converged, cfg.trim_fraction)
+    return rec.build(active, gnorm, cfg.trim_fraction)
 
 
 def trace_ascent_paths(field: ScalarField, starts, cfg: FlowConfig,
@@ -337,14 +257,7 @@ def trace_ascent_paths(field: ScalarField, starts, cfg: FlowConfig,
     Stops per path when the gradient norm or the displacement drops below its
     tolerance, or after max_steps.
     """
-    return _ascend(field, starts, cfg, refine_disks, _PathRecorder)
-
-
-def trace_ascent_segments(field: ScalarField, starts, cfg: FlowConfig,
-                          refine_disks=None) -> TracedSegments:
-    """Like trace_ascent_paths but returns a flat segment soup (cheap for
-    large Monte-Carlo batches)."""
-    return _ascend(field, starts, cfg, refine_disks, _SegmentRecorder)
+    return _ascend(field, starts, cfg, refine_disks)
 
 
 def trace_ascent_path(field: ScalarField, x0, cfg: FlowConfig,
@@ -372,7 +285,7 @@ def mean_shift_paths(cloud: PointCloud, kernel: KernelSpec, h: float,
     m = len(starts)
     pos = starts.copy()
     val0 = np.asarray(kde_density(cloud, kernel, h, pos), dtype=float).reshape(m)
-    rec = _PathRecorder(starts, val0)
+    rec = _Recorder(starts, val0)
     active = np.ones(m, dtype=bool)
 
     for step in range(cfg.max_steps):
@@ -399,7 +312,7 @@ def mean_shift_paths(cloud: PointCloud, kernel: KernelSpec, h: float,
 
     grad = np.asarray(kde_gradient(cloud, kernel, h, pos), dtype=float).reshape(m, 2)
     gnorm = np.hypot(grad[:, 0], grad[:, 1])
-    return rec.build(gnorm, gnorm < cfg.grad_tolerance, cfg.trim_fraction)
+    return rec.build(active, gnorm, cfg.trim_fraction)
 
 
 def mean_shift_path(cloud: PointCloud, kernel: KernelSpec, h: float, x0,

@@ -13,37 +13,29 @@ def as_points(x) -> np.ndarray:
     return a
 
 
-def segment_distances(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each point to each segment.
+def segment_distances(points, seg_a, seg_b) -> np.ndarray:
+    """Euclidean distance from points to segments seg_a -> seg_b.
 
-    points: (m, 2); seg_a, seg_b: (s, 2) segment endpoints.
-    Returns (m, s). Zero-length segments degrade to point distances.
+    All three are (..., 2) arrays whose leading axes broadcast: points[:, None]
+    against (s, 2) endpoints gives an (m, s) result. Zero-length segments
+    degrade to point distances.
     """
     points = np.asarray(points, dtype=float)
-    d = seg_b - seg_a                                   # (s, 2)
-    len2 = np.einsum("ij,ij->i", d, d)                  # (s,)
-    diff = points[:, None, :] - seg_a[None, :, :]       # (m, s, 2)
-    t = np.einsum("msj,sj->ms", diff, d)
+    seg_a = np.asarray(seg_a, dtype=float)
+    seg_b = np.asarray(seg_b, dtype=float)
+    ax, ay = seg_a[..., 0], seg_a[..., 1]
+    dx = seg_b[..., 0] - ax
+    dy = seg_b[..., 1] - ay
+    len2 = dx * dx + dy * dy
+    px = points[..., 0] - ax
+    py = points[..., 1] - ay
+    t = px * dx + py * dy
     safe = np.where(len2 > 0.0, len2, 1.0)
     t = np.clip(t / safe, 0.0, 1.0)
     t = np.where(len2 > 0.0, t, 0.0)
-    closest = diff - t[:, :, None] * d[None, :, :]
-    return np.sqrt(np.einsum("msj,msj->ms", closest, closest))
-
-
-def polyline_min_distance(points, vertices: np.ndarray) -> np.ndarray:
-    """Min distance from each point to the polyline through `vertices`.
-
-    A single-vertex polyline is treated as a point.
-    """
-    pts = as_points(points)
-    vertices = np.asarray(vertices, dtype=float)
-    if vertices.ndim == 1:
-        vertices = vertices[None, :]
-    if len(vertices) == 1:
-        return np.hypot(pts[:, 0] - vertices[0, 0], pts[:, 1] - vertices[0, 1])
-    d = segment_distances(pts, vertices[:-1], vertices[1:])
-    return d.min(axis=1)
+    cx = px - t * dx
+    cy = py - t * dy
+    return np.sqrt(cx * cx + cy * cy)
 
 
 def polyline_arclength(vertices: np.ndarray) -> np.ndarray:
@@ -96,9 +88,8 @@ def convex_hull_contains(hull_points: np.ndarray, query: np.ndarray, tol: float 
     hull_points = np.asarray(hull_points, dtype=float)
     q = as_points(query)
     if len(hull_points) < 3:
-        # degenerate hull: fall back to distance to the point set / segment
-        d = polyline_min_distance(q, hull_points)
-        return d <= tol
+        # degenerate hull: distance to the single point or the segment
+        return segment_distances(q, hull_points[0], hull_points[-1]) <= tol
     hull = ConvexHull(hull_points)
     # hull.equations: outward normals, A x + b <= 0 inside
     vals = q @ hull.equations[:, :2].T + hull.equations[:, 2][None, :]

@@ -45,16 +45,6 @@ class KernelSpec:
             v = np.where(t <= self.cutoff, v, 0.0)
         return v
 
-    def raw_derivative(self, t):
-        """dK/dt; zero beyond the cutoff for the truncated profile."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("kernel argument must be nonnegative")
-        v = -t * np.exp(-0.5 * t * t)
-        if self.profile == "truncated-gaussian":
-            v = np.where(t <= self.cutoff, v, 0.0)
-        return v
-
 
 def kernel_value(kernel: KernelSpec, t):
     """Raw profile value K(t); scalar in, scalar out."""

@@ -5,8 +5,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
-from scipy.spatial import cKDTree
 
 from .geometry import as_points
 from .grids import GridField, GridSpec
@@ -58,6 +56,8 @@ class PlanarSet:
 
     def distance_to(self, query) -> np.ndarray:
         """Distance from query points to the (dilated) set; 0 inside."""
+        from scipy.spatial import cKDTree
+
         pts = self.member_points()
         if len(pts) == 0:
             raise ValueError("distance to an empty set is undefined")
@@ -103,6 +103,8 @@ def dilate(s: PlanarSet, r: float) -> PlanarSet:
     if s.is_mask:
         if not s.mask.any():
             return s
+        from scipy.ndimage import distance_transform_edt
+
         dist = distance_transform_edt(~s.mask, sampling=(s.grid.dx, s.grid.dy))
         return PlanarSet.from_mask(dist < r, s.grid)
     return PlanarSet.from_points(s.points, radius=s.radius + r)
@@ -110,6 +112,8 @@ def dilate(s: PlanarSet, r: float) -> PlanarSet:
 
 def directed_hausdorff(a: PlanarSet, b: PlanarSet) -> float:
     """sup over a of the distance to b (on the core point samples)."""
+    from scipy.spatial import cKDTree
+
     pa = a.member_points()
     pb = b.member_points()
     if len(pa) == 0 or len(pb) == 0:
@@ -177,6 +181,8 @@ def containment_check(level_cells: PlanarSet, truth: PlanarSet, sigma: float,
                                  n_strict=0, fraction_strict=1.0,
                                  n_relaxed=0, fraction_relaxed=1.0,
                                  notes={"empty_level_set": True})
+
+    from scipy.spatial import cKDTree
 
     def near(points, centers):
         if centers is None or len(centers) == 0:

@@ -10,7 +10,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from .geometry import (as_points, point_on_polyline, polyline_arclength,
                        polyline_self_intersects)
@@ -84,13 +83,17 @@ class Filament:
         u = np.asarray(u, dtype=float)
         if self.weight == "uniform":
             return self.length * u
-        return self.length * beta_dist.ppf(u, self.beta_a, self.beta_b)
+        from scipy.stats import beta
+
+        return self.length * beta.ppf(u, self.beta_a, self.beta_b)
 
     def weight_pdf(self, s):
         s = np.asarray(s, dtype=float)
         if self.weight == "uniform":
             return np.full(s.shape, 1.0 / self.length)
-        return beta_dist.pdf(s / self.length, self.beta_a, self.beta_b) / self.length
+        from scipy.stats import beta
+
+        return beta.pdf(s / self.length, self.beta_a, self.beta_b) / self.length
 
     def _n_intervals(self, nodes_per_interval: int, nodes_per_sigma: int) -> int:
         # enough CDF intervals for the target node density over the central
@@ -234,11 +237,6 @@ class FilamentModel:
         parts = [f.vertices for f in self.filaments]
         parts += [np.asarray([c.center]) for c in self.clusters]
         return np.concatenate(parts) if parts else np.empty((0, 2))
-
-    def with_quad(self, quad: QuadratureSpec) -> "FilamentModel":
-        return FilamentModel(self.filaments, self.filament_weights, self.clusters,
-                             self.cluster_weights, self.background_weight,
-                             self.box, quad=quad)
 
     def _in_box(self, pts):
         xmin, xmax, ymin, ymax = self.box
@@ -397,24 +395,6 @@ class FilamentModel:
     def load(cls, path) -> "FilamentModel":
         with open(path, "r", encoding="utf-8") as f:
             return cls.from_dict(json.load(f))
-
-
-# -- spec-shaped module functions ------------------------------------------
-
-def density(model: FilamentModel, x, quad: QuadratureSpec | None = None):
-    return model.value(x, quad=quad)
-
-
-def gradient(model: FilamentModel, x, quad: QuadratureSpec | None = None):
-    return model.gradient(x, quad=quad)
-
-
-def hessian(model: FilamentModel, x, quad: QuadratureSpec | None = None):
-    return model.hessian(x, quad=quad)
-
-
-def sample(model: FilamentModel, n: int, rng: np.random.Generator) -> PointCloud:
-    return model.sample(n, rng)
 
 
 # -- builtin models ----------------------------------------------------------

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import (FlowConfig, TracedSegments, find_critical_points,
-                   kde_flow_config, mean_shift_paths, trace_ascent_segments)
+from .flow import (FlowConfig, find_critical_points, kde_flow_config,
+                   mean_shift_paths, trace_ascent_paths)
+from .geometry import segment_distances
 from .grids import GridField, GridSpec
 from .kernels import KernelSpec, PointCloud
 from .model import FilamentModel
@@ -59,32 +60,33 @@ def model_flow_config(model: FilamentModel, **overrides) -> FlowConfig:
 
 def sample_and_trace(field, sampler: FilamentModel, n_mc: int,
                      rng: np.random.Generator, cfg: FlowConfig | None = None,
-                     refine_disks=None) -> TracedSegments:
+                     refine_disks=None) -> PathEnsemble:
     """Draw n_mc points from the sampler and trace their ascent on `field`."""
     if cfg is None:
         cfg = model_flow_config(sampler)
     cloud = sampler.sample(n_mc, rng)
-    return trace_ascent_segments(field, cloud.points, cfg, refine_disks=refine_disks)
+    return PathEnsemble(trace_ascent_paths(field, cloud.points, cfg,
+                                           refine_disks=refine_disks))
 
 
-def ball_hit_estimate(segs: TracedSegments, center, r: float) -> PathMeasureEstimate:
+def ball_hit_estimate(segs: PathEnsemble, center, r: float) -> PathMeasureEstimate:
     """Fraction of traced paths passing within r of the center."""
-    md = segs.min_distances(center)
+    md = segs.distances(center)[0]
     hits = md <= r
     v = float(hits.mean())
     se = float(np.sqrt(v * (1.0 - v) / segs.n_paths))
     return PathMeasureEstimate(value=v, std_error=se, n_mc=segs.n_paths)
 
 
-def point_density_terms(segs: TracedSegments, x, r1: float,
+def point_density_terms(segs: PathEnsemble, x, r1: float,
                         r2: float) -> np.ndarray:
     """Per-path terms 2 [d <= r1] / r1 - [d <= r2] / r2 of the two-radius
     estimate at x, shape (n_paths,); their mean is the estimate."""
-    md = segs.min_distances(x)
+    md = segs.distances(x)[0]
     return (2.0 / r1) * (md <= r1) - (1.0 / r2) * (md <= r2)
 
 
-def point_density_estimate(segs: TracedSegments, x, r1: float,
+def point_density_estimate(segs: PathEnsemble, x, r1: float,
                            r2: float | None = None) -> PathDensityEstimate:
     """Two-radius extrapolation of hit-fraction / radius.
 
@@ -122,7 +124,7 @@ def path_density_oracle(field, sampler: FilamentModel, x, r1: float, n_mc: int,
     return point_density_estimate(segs, x, r1, r2)
 
 
-def path_hit_counts(segs: TracedSegments, grid: GridSpec, radii) -> np.ndarray:
+def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
     """Per-node counts of paths passing within each radius.
 
     Returns an int array of shape (len(radii), nx, ny); each path is counted
@@ -157,20 +159,8 @@ def path_hit_counts(segs: TracedSegments, grid: GridSpec, radii) -> np.ndarray:
         ok = (ii >= 0) & (ii < grid.nx) & (jj >= 0) & (jj < grid.ny)
         if not ok.any():
             continue
-        nx_ = xs0 + ii * dx
-        ny_ = ys0 + jj * dy
-        # point-to-segment distance, broadcast over (segments, stencil)
-        d0 = b - a
-        len2 = (d0[:, 0] ** 2 + d0[:, 1] ** 2)[:, None]
-        px = nx_ - a[:, 0][:, None]
-        py = ny_ - a[:, 1][:, None]
-        t = px * d0[:, 0][:, None] + py * d0[:, 1][:, None]
-        safe = np.where(len2 > 0, len2, 1.0)
-        t = np.clip(t / safe, 0.0, 1.0)
-        t = np.where(len2 > 0, t, 0.0)
-        cx = px - t * d0[:, 0][:, None]
-        cy = py - t * d0[:, 1][:, None]
-        dist = np.hypot(cx, cy)
+        nodes = np.stack([xs0 + ii * dx, ys0 + jj * dy], axis=-1)
+        dist = segment_distances(nodes, a[:, None], b[:, None])  # (segments, stencil)
         flat = ii * grid.ny + jj
         for k, r in enumerate(radii):
             sel = ok & (dist <= r)
@@ -183,7 +173,7 @@ def path_hit_counts(segs: TracedSegments, grid: GridSpec, radii) -> np.ndarray:
 def oracle_field(field, sampler: FilamentModel, grid: GridSpec, n_mc: int,
                  rng: np.random.Generator, r1: float | None = None,
                  cfg: FlowConfig | None = None, maxima=None,
-                 segs: TracedSegments | None = None) -> GridField:
+                 segs: PathEnsemble | None = None) -> GridField:
     """Monte-Carlo path-density raster on the grid.
 
     r1 defaults to max(2 tracing steps, sigma/20). Nodes within r2 = 2 r1 of
@@ -219,8 +209,6 @@ def true_path_ensemble(cloud: PointCloud, field, cfg: FlowConfig | None = None,
         cfg = model_flow_config(field)
     if cfg is None:
         raise ValueError("cfg required for non-model fields")
-    from .flow import trace_ascent_paths
-
     return PathEnsemble(trace_ascent_paths(field, cloud.points, cfg), trim=trim)
 
 

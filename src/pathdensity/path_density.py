@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import AscentPath
-from .geometry import as_points, polyline_min_distance, segment_distances
+from .geometry import as_points, segment_distances
 from .grids import GridField, GridSpec
 from .kernels import KernelSpec
 from .parallel import map_indexed
@@ -55,9 +55,11 @@ def trimmed_vertices(path: AscentPath, trim: int) -> np.ndarray:
 
 def distance_to_path(x, path: AscentPath, trim: int = 0) -> float:
     """Exact minimum distance from x to the (trimmed) path polyline."""
-    verts = trimmed_vertices(path, trim)
-    d = polyline_min_distance(x, verts)
+    d = PathEnsemble([path], trim).distances(x)[:, 0]
     return float(d[0]) if np.ndim(x) == 1 else d
+
+
+_PAIR_BLOCK = 4_000_000
 
 
 class PathEnsemble:
@@ -71,36 +73,43 @@ class PathEnsemble:
         self._build_segments()
 
     def _build_segments(self):
-        seg_a, seg_b, offsets = [], [], [0]
-        count = 0
-        for p in self.paths:
-            v = trimmed_vertices(p, self.trim)
-            if len(v) == 1:
-                seg_a.append(v)
-                seg_b.append(v)
-                count += 1
-            else:
-                seg_a.append(v[:-1])
-                seg_b.append(v[1:])
-                count += len(v) - 1
-            offsets.append(count)
-        self.seg_a = np.concatenate(seg_a)
-        self.seg_b = np.concatenate(seg_b)
-        self.offsets = np.asarray(offsets)
+        # consecutive vertices of each path; a single-vertex path keeps one
+        # zero-length segment so that every path has at least one
+        verts = [trimmed_vertices(p, self.trim) for p in self.paths]
+        counts = np.array([len(v) for v in verts])
+        flat = np.concatenate(verts)
+        ends = np.cumsum(counts)
+        single = counts == 1
+        keep_a = np.ones(len(flat), dtype=bool)
+        keep_a[ends - 1] = single
+        keep_b = np.ones(len(flat), dtype=bool)
+        keep_b[ends - counts] = single
+        self.seg_a = flat[keep_a]
+        self.seg_b = flat[keep_b]
+        self.offsets = np.concatenate([[0], np.cumsum(np.maximum(counts - 1, 1))])
 
     @property
     def n_paths(self) -> int:
         return len(self.paths)
 
     def distances(self, points) -> np.ndarray:
-        """Per-path min distance for each point: shape (m, n_paths)."""
-        pts = as_points(points)
-        starts = self.offsets[:-1]
+        """Per-path min distance for each point: shape (m, n_paths).
+
+        Works in blocks of about 4e6 point-segment pairs: several points
+        against all segments, or one point against a slice of segments when
+        the ensemble alone has more.
+        """
+        pts = as_points(points)[:, None]
+        n_seg = len(self.seg_a)
+        rows = max(1, _PAIR_BLOCK // n_seg)
+        cols = _PAIR_BLOCK // rows
         out = np.empty((len(pts), self.n_paths))
-        chunk = max(1, int(4_000_000 / max(1, len(self.seg_a))))
-        for s in range(0, len(pts), chunk):
-            d = segment_distances(pts[s:s + chunk], self.seg_a, self.seg_b)
-            out[s:s + chunk] = np.minimum.reduceat(d, starts, axis=1)
+        for s in range(0, len(pts), rows):
+            parts = [segment_distances(pts[s:s + rows], self.seg_a[c:c + cols],
+                                       self.seg_b[c:c + cols])
+                     for c in range(0, n_seg, cols)]
+            d = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            out[s:s + rows] = np.minimum.reduceat(d, self.offsets[:-1], axis=1)
         return out
 
 

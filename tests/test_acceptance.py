@@ -29,9 +29,8 @@ from pathdensity.kernels import (KernelSpec, PointCloud, kde_density,
 from pathdensity.levelset import (PlanarSet, containment_check,
                                   directed_hausdorff, level_set,
                                   quantile_threshold, set_distance_consistency)
-from pathdensity.model import (FilamentModel, cluster_model, density, gradient,
-                               hessian, random_pentagon_model,
-                               two_gaussian_model)
+from pathdensity.model import (FilamentModel, cluster_model,
+                               random_pentagon_model, two_gaussian_model)
 from pathdensity.oracle import (convergence_experiment, model_flow_config,
                                 oracle_field, point_density_estimate,
                                 sample_and_trace)
@@ -141,11 +140,11 @@ def test_criterion_2_derivative_oracles(pentagon):
     model, _ = pentagon
     step = 1e-5 * model.max_sigma
     for x in rng.uniform(0.15, 0.85, (100, 2)):
-        g = gradient(model, x)
-        fd = fd_gradient(lambda p: density(model, p), x, step)
+        g = model.gradient(x)
+        fd = fd_gradient(lambda p: model.value(p), x, step)
         assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(g)
-        H = hessian(model, x)
-        fdH = fd_hessian(lambda p: gradient(model, p), x, step)
+        H = model.hessian(x)
+        fdH = fd_hessian(lambda p: model.gradient(p), x, step)
         assert np.linalg.norm(H - fdH) <= 1e-5 * np.linalg.norm(H)
     report(2, "derivative oracles", time.time() - t0, 5.0)
 
@@ -227,7 +226,7 @@ def test_criterion_4d_saddle_four_sum(tg_batch):
     check = saddle_four_sum(tg_batch, (0.0, 0.0), FOUR_SUM_DIRECTIONS,
                             FOUR_SUM_EPS, FOUR_SUM_R1, np.random.default_rng(23))
     # ball-fraction scaling at the saddle, for the record
-    md = tg_batch.min_distances((0.0, 0.0))
+    md = tg_batch.distances((0.0, 0.0))[0]
     scaling = {r: round(float((md <= r).mean() / r), 5)
                for r in (0.0125, 0.025, 0.05)}
     print(f"  p(saddle) = {check.at_saddle:.5f}")
@@ -250,7 +249,7 @@ def test_criterion_5_measure_linearity(tg_batch):
     rng = np.random.default_rng(17)
     n = tg_batch.n_paths
     for p in LINEARITY_PROBES:
-        md = tg_batch.min_distances(p)
+        md = tg_batch.distances(p)[0]
         hits = md[:, None] <= radii[None, :]
         f = hits.mean(axis=0)
         w = 1.0 / np.maximum(f * (1 - f) / n, 1e-18)

@@ -148,6 +148,22 @@ def test_estimate_malformed_csv_exits_3_with_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, flags, code", [
+    ("0.1,0.2\nnan,0.5\n0.3,0.9\n", [], 3),
+    ("0.4,0.4\n0.4,0.4\n0.4,0.4\n", [], 3),
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--quantile", "1.5"], 2),
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--grid", "1"], 2),
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--trim", "-1"], 2),
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--bounds", "0,1,a,1"], 2),
+], ids=["nan-row", "coincident", "quantile", "grid", "negative-trim", "bounds"])
+def test_estimate_bad_input_exit_codes(tmp_path, capsys, rows, flags, code):
+    pts = tmp_path / "points.csv"
+    pts.write_text("x,y\n" + rows)
+    assert run("estimate", "--points", str(pts), "--out", str(tmp_path / "o"),
+               *flags) == code
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_estimate_deterministic_across_worker_counts(pentagon_points, tmp_path,
                                                      monkeypatch):
     outs = []

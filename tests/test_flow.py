@@ -6,10 +6,11 @@ from pathdensity.flow import (FlowConfig, MeanShiftUnderflowError,
                               classify_critical_point, find_critical_points,
                               kde_flow_config, mean_shift_path,
                               mean_shift_paths, trace_ascent_path,
-                              trace_ascent_paths, trace_ascent_segments)
+                              trace_ascent_paths)
 from pathdensity.geometry import convex_hull_contains
 from pathdensity.kernels import KernelSpec, PointCloud
 from pathdensity.model import cluster_model, random_pentagon_model, two_gaussian_model
+from pathdensity.path_density import PathEnsemble
 
 from conftest import QuadraticPeakField
 
@@ -77,10 +78,10 @@ def test_segment_mode_matches_path_mode():
     field = QuadraticPeakField()
     starts = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 0.0]])
     paths = trace_ascent_paths(field, starts, QUAD_CFG)
-    segs = trace_ascent_segments(field, starts, QUAD_CFG)
+    segs = PathEnsemble(paths)
     assert segs.n_paths == 3
-    np.testing.assert_allclose(segs.ends, [p.end for p in paths], atol=1e-12)
-    np.testing.assert_array_equal(segs.converged, [p.converged for p in paths])
+    np.testing.assert_allclose(segs.seg_b[segs.offsets[1:] - 1],
+                               [p.end for p in paths], atol=1e-12)
     # per-path segment counts agree with vertex counts (degenerate path keeps 1)
     counts = np.diff(segs.offsets)
     assert counts[2] == 1
@@ -89,8 +90,8 @@ def test_segment_mode_matches_path_mode():
 
 def test_min_distances_on_segments():
     field = QuadraticPeakField()
-    segs = trace_ascent_segments(field, [[2.0, 0.0], [0.0, 3.0]], QUAD_CFG)
-    md = segs.min_distances([1.0, 0.0])
+    segs = PathEnsemble(trace_ascent_paths(field, [[2.0, 0.0], [0.0, 3.0]], QUAD_CFG))
+    md = segs.distances([1.0, 0.0])[0]
     assert md[0] == pytest.approx(0.0, abs=1e-6)   # path runs through (1, 0)
     assert md[1] == pytest.approx(1.0, abs=1e-5)   # vertical path, distance 1
 
@@ -142,6 +143,29 @@ def test_mean_shift_and_flow_reach_the_same_mode(gaussian_kernel):
         ms = mean_shift_path(cloud, gaussian_kernel, h, x0, cfg)
         ode = trace_ascent_path(field, x0, cfg)
         assert np.hypot(*(ms.end - ode.end)) < 1e-3 * h
+
+
+@pytest.mark.parametrize("tracer", ["meanshift", "flow"])
+def test_converged_flag_tells_cut_paths_from_finished_ones(gaussian_kernel,
+                                                           tracer):
+    # kde_flow_config stops paths on min_displacement before the gradient
+    # test, so a finished path must read converged even when its terminal
+    # gradient is above grad_tolerance
+    from pathdensity.kernels import KernelDensityField
+
+    model, cloud = random_pentagon_model(np.random.default_rng(15), n=150)
+    h = 0.09
+    starts = cloud.points[::10]
+
+    def trace(**overrides):
+        cfg = kde_flow_config(cloud, gaussian_kernel, h, **overrides)
+        if tracer == "meanshift":
+            return mean_shift_paths(cloud, gaussian_kernel, h, starts, cfg)
+        return trace_ascent_paths(KernelDensityField(cloud, gaussian_kernel, h),
+                                  starts, cfg)
+
+    assert not any(p.converged for p in trace(max_steps=2))
+    assert all(p.converged for p in trace())
 
 
 def test_mean_shift_ascends_kde(gaussian_kernel):

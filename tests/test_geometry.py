@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathdensity.geometry import (polyline_arclength, polyline_min_distance,
-                                  polyline_self_intersects, segment_distances)
+from pathdensity.flow import AscentPath
+from pathdensity.geometry import (polyline_arclength, polyline_self_intersects,
+                                  segment_distances)
+from pathdensity.path_density import distance_to_path
 
 coord = st.floats(-50, 50, allow_nan=False)
 
@@ -12,20 +14,20 @@ coord = st.floats(-50, 50, allow_nan=False)
 def test_point_to_horizontal_segment():
     d = segment_distances(np.array([[0.5, 1.0]]), np.array([[0.0, 0.0]]),
                           np.array([[1.0, 0.0]]))
-    assert d[0, 0] == pytest.approx(1.0)
+    assert d[0] == pytest.approx(1.0)
 
 
 def test_distance_beyond_endpoints_clamps():
     a = np.array([[0.0, 0.0]])
     b = np.array([[1.0, 0.0]])
-    assert segment_distances(np.array([[2.0, 0.0]]), a, b)[0, 0] == pytest.approx(1.0)
-    assert segment_distances(np.array([[-3.0, 4.0]]), a, b)[0, 0] == pytest.approx(5.0)
+    assert segment_distances(np.array([[2.0, 0.0]]), a, b)[0] == pytest.approx(1.0)
+    assert segment_distances(np.array([[-3.0, 4.0]]), a, b)[0] == pytest.approx(5.0)
 
 
 def test_zero_length_segment_is_point_distance():
     a = np.array([[1.0, 1.0]])
     d = segment_distances(np.array([[4.0, 5.0]]), a, a.copy())
-    assert d[0, 0] == pytest.approx(5.0)
+    assert d[0] == pytest.approx(5.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -34,21 +36,28 @@ def test_segment_distance_bounded_by_endpoint_distances(px, py, ax, ay, bx, by):
     p = np.array([[px, py]])
     a = np.array([[ax, ay]])
     b = np.array([[bx, by]])
-    d = segment_distances(p, a, b)[0, 0]
+    d = segment_distances(p, a, b)[0]
     d_end = min(np.hypot(px - ax, py - ay), np.hypot(px - bx, py - by))
     assert d <= d_end + 1e-9
     assert d >= 0.0
 
 
+def polyline(vertices):
+    v = np.asarray(vertices, dtype=float)
+    return AscentPath(vertices=v, times=np.arange(len(v), dtype=float),
+                      step_count=len(v) - 1, terminal_gradient_norm=0.0,
+                      converged=True, trim_hint=0)
+
+
 def test_polyline_min_distance_single_vertex():
-    d = polyline_min_distance([3.0, 4.0], np.array([[0.0, 0.0]]))
-    assert d[0] == pytest.approx(5.0)
+    d = distance_to_path([3.0, 4.0], polyline([[0.0, 0.0]]))
+    assert d == pytest.approx(5.0)
 
 
 def test_polyline_vertex_containment():
     poly = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     for v in poly:
-        assert polyline_min_distance(v, poly)[0] == pytest.approx(0.0, abs=1e-15)
+        assert distance_to_path(v, polyline(poly)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_arclength_cumulative():

@@ -7,8 +7,7 @@ from scipy.stats import beta as beta_dist
 from pathdensity.flow import FlowConfig, find_critical_points
 from pathdensity.geometry import convex_hull_contains, polyline_self_intersects
 from pathdensity.model import (Filament, FilamentModel, QuadratureSpec,
-                               cluster_model, density, gradient, hessian,
-                               random_pentagon_model, sample,
+                               cluster_model, random_pentagon_model,
                                two_gaussian_model)
 
 from conftest import fd_gradient, fd_hessian
@@ -79,13 +78,13 @@ def test_single_cluster_density_is_gaussian():
     x = np.array([0.5, 0.1])
     d2 = ((x - [0.3, -0.2]) ** 2).sum()
     expected = np.exp(-0.5 * d2 / 0.16) / (2 * np.pi * 0.16)
-    assert density(m, x) == pytest.approx(expected, rel=1e-14)
+    assert m.value(x) == pytest.approx(expected, rel=1e-14)
 
 
 def test_background_only_density():
     m = FilamentModel([], [], [], [], 1.0, (0.0, 2.0, 0.0, 1.0))
-    assert density(m, np.array([1.0, 0.5])) == pytest.approx(0.5)
-    assert density(m, np.array([3.0, 0.5])) == 0.0
+    assert m.value(np.array([1.0, 0.5])) == pytest.approx(0.5)
+    assert m.value(np.array([3.0, 0.5])) == 0.0
 
 
 def test_straight_filament_matches_monte_carlo():
@@ -98,7 +97,7 @@ def test_straight_filament_matches_monte_carlo():
             / (2 * np.pi * f.sigma**2)
         mc = vals.mean()
         se = vals.std(ddof=1) / np.sqrt(len(vals))
-        assert abs(density(m, x) - mc) <= 3 * se
+        assert abs(m.value(x) - mc) <= 3 * se
 
 
 def test_density_integrates_to_one_pentagon():
@@ -120,12 +119,12 @@ def test_weights_must_sum_to_one():
 
 def test_gradient_zero_at_cluster_center():
     m = cluster_model([(0.1, 0.9)], 0.5, (-2, 2, -2, 2))
-    np.testing.assert_array_equal(gradient(m, np.array([0.1, 0.9])), [0.0, 0.0])
+    np.testing.assert_array_equal(m.gradient(np.array([0.1, 0.9])), [0.0, 0.0])
 
 
 def test_gradient_zero_at_symmetric_midpoint():
     m = two_gaussian_model()
-    np.testing.assert_allclose(gradient(m, np.zeros(2)), [0.0, 0.0], atol=1e-300)
+    np.testing.assert_allclose(m.gradient(np.zeros(2)), [0.0, 0.0], atol=1e-300)
 
 
 def test_model_derivatives_match_finite_differences():
@@ -134,11 +133,11 @@ def test_model_derivatives_match_finite_differences():
     probes = rng.uniform(0.1, 0.9, (50, 2))
     step = 1e-5 * model.max_sigma
     for x in probes:
-        g = gradient(model, x)
-        fd = fd_gradient(lambda p: density(model, p), x, step)
+        g = model.gradient(x)
+        fd = fd_gradient(lambda p: model.value(p), x, step)
         assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(g), 1e-12)
-        H = hessian(model, x)
-        fdH = fd_hessian(lambda p: gradient(model, p), x, step)
+        H = model.hessian(x)
+        fdH = fd_hessian(lambda p: model.gradient(p), x, step)
         assert np.linalg.norm(H - fdH) <= 1e-5 * max(np.linalg.norm(H), 1e-12)
 
 
@@ -146,15 +145,15 @@ def test_gradient_on_box_edge_rejected_with_background():
     m = FilamentModel([], [], [(np.array([0.5, 0.5]), 0.1)], [0.5], 0.5,
                       (0.0, 1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
-        gradient(m, np.array([0.0, 0.5]))
-    gradient(m, np.array([0.3, 0.5]))  # interior point fine
+        m.gradient(np.array([0.0, 0.5]))
+    m.gradient(np.array([0.3, 0.5]))  # interior point fine
 
 
 # -- sampling -----------------------------------------------------------------
 
 def test_cluster_sample_mean_near_center():
     m = cluster_model([(0.25, -0.75)], 0.5, (-3, 3, -3, 3))
-    cloud = sample(m, 100_000, np.random.default_rng(17))
+    cloud = m.sample(100_000, np.random.default_rng(17))
     bound = 4 * 0.5 / np.sqrt(cloud.n)
     assert abs(cloud.points[:, 0].mean() - 0.25) < bound
     assert abs(cloud.points[:, 1].mean() + 0.75) < bound
@@ -162,15 +161,15 @@ def test_cluster_sample_mean_near_center():
 
 def test_background_only_sample_in_box():
     m = FilamentModel([], [], [], [], 1.0, (0.0, 2.0, -1.0, 1.0))
-    cloud = sample(m, 5000, np.random.default_rng(3))
+    cloud = m.sample(5000, np.random.default_rng(3))
     assert cloud.points[:, 0].min() >= 0.0 and cloud.points[:, 0].max() <= 2.0
     assert cloud.points[:, 1].min() >= -1.0 and cloud.points[:, 1].max() <= 1.0
 
 
 def test_sampling_deterministic_under_seed():
     m = two_gaussian_model()
-    a = sample(m, 500, np.random.default_rng(123)).points
-    b = sample(m, 500, np.random.default_rng(123)).points
+    a = m.sample(500, np.random.default_rng(123)).points
+    b = m.sample(500, np.random.default_rng(123)).points
     np.testing.assert_array_equal(a, b)
 
 
@@ -179,7 +178,7 @@ def test_component_frequencies_match_weights():
                       [(np.array([-1.0, 0.0]), 0.2), (np.array([1.0, 0.0]), 0.2)],
                       [0.3, 0.5], 0.2, (-3, 3, -3, 3))
     n = 20_000
-    cloud = sample(m, n, np.random.default_rng(8))
+    cloud = m.sample(n, np.random.default_rng(8))
     # classify by nearest center / background via position
     near_a = np.hypot(cloud.points[:, 0] + 1, cloud.points[:, 1]) < 0.2 * 3
     frac_a = near_a.mean()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pathdensity.flow import FlowConfig, TracedSegments, find_critical_points
+from pathdensity.flow import AscentPath, FlowConfig, find_critical_points
 from pathdensity.grids import GridSpec
 from pathdensity.kernels import KernelSpec, PointCloud
 from pathdensity.model import cluster_model, two_gaussian_model
@@ -11,7 +11,7 @@ from pathdensity.oracle import (ball_hit_estimate, convergence_experiment,
                                 path_hit_counts, path_measure,
                                 point_density_estimate, sample_and_trace,
                                 true_path_ensemble)
-from pathdensity.path_density import estimate_path_density
+from pathdensity.path_density import PathEnsemble, estimate_path_density
 
 from conftest import saddle_four_sum
 
@@ -71,8 +71,8 @@ def test_measure_monotone_in_nested_balls(triangle_batch):
 def test_measure_subadditive_on_disjoint_balls(triangle_batch):
     c1, r1 = np.array([0.5, 0.4]), 0.12
     c2, r2 = np.array([-0.6, -0.1]), 0.12
-    m1 = triangle_batch.min_distances(c1)
-    m2 = triangle_batch.min_distances(c2)
+    m1 = triangle_batch.distances(c1)[0]
+    m2 = triangle_batch.distances(c2)[0]
     union = float(((m1 <= r1) | (m2 <= r2)).mean())
     p1 = ball_hit_estimate(triangle_batch, c1, r1)
     p2 = ball_hit_estimate(triangle_batch, c2, r2)
@@ -112,7 +112,7 @@ def test_density_halving_r_is_consistent(triangle_batch):
 def test_hit_fraction_linear_in_radius(triangle_batch):
     # f(r)/r should be stable across r, so f(r) is linear through the origin
     x = np.array([0.5, 0.4])
-    md = triangle_batch.min_distances(x)
+    md = triangle_batch.distances(x)[0]
     r0 = 0.04
     fracs = np.array([(md <= s * r0).mean() for s in (0.5, 1.0, 2.0)])
     slopes = fracs / (np.array([0.5, 1.0, 2.0]) * r0)
@@ -128,7 +128,7 @@ def test_hit_counts_match_direct_distances():
     counts = path_hit_counts(segs, grid, [0.05, 0.1])
     nodes = grid.nodes()
     for k, r in enumerate([0.05, 0.1]):
-        direct = np.array([(segs.min_distances(p) <= r).sum() for p in nodes])
+        direct = np.array([(segs.distances(p)[0] <= r).sum() for p in nodes])
         np.testing.assert_array_equal(counts[k].ravel(), direct)
 
 
@@ -222,17 +222,11 @@ def _linear_saddle_batch(n, rng, n_axis=0, half=0.5, dt=0.02):
     ids = np.concatenate([ids, np.repeat(n + np.arange(n_axis), 11)])
     verts = np.concatenate([verts, np.column_stack([np.zeros(axis_y.size),
                                                     axis_y.ravel()])])
-    m = n + n_axis
-    same = ids[1:] == ids[:-1]
-    seg_ids = ids[:-1][same]
-    first = np.searchsorted(ids, np.arange(m))
-    last = np.searchsorted(ids, np.arange(m), side="right") - 1
-    return TracedSegments(
-        seg_a=verts[:-1][same].astype(np.float32),
-        seg_b=verts[1:][same].astype(np.float32),
-        path_of_seg=seg_ids, offsets=np.searchsorted(seg_ids, np.arange(m + 1)),
-        starts=verts[first], ends=verts[last],
-        terminal_gradient_norm=np.zeros(m), converged=np.ones(m, dtype=bool))
+    polylines = np.split(verts, np.searchsorted(ids, np.arange(1, n + n_axis)))
+    return PathEnsemble([
+        AscentPath(vertices=v, times=dt * np.arange(len(v)), step_count=len(v) - 1,
+                   terminal_gradient_norm=0.0, converged=True, trim_hint=0)
+        for v in polylines])
 
 
 def test_saddle_four_sum_check_rejects_paths_ending_at_saddle():
