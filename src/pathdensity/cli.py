@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from .figure import render_four_panel_svg
-from .flow import (FlowNumericalError, find_critical_points, kde_flow_config,
-                   mean_shift_paths, trace_ascent_paths)
+from .flow import (FlowNumericalError, MeanShiftUnderflowError,
+                   find_critical_points, kde_flow_config, mean_shift_paths,
+                   trace_ascent_paths)
 from .grids import GridField, GridSpec
-from .kernels import KernelSpec, PointCloud
+from .kernels import KernelDensityField, KernelSpec, PointCloud
 from .levelset import level_set, quantile_threshold
 from .model import FilamentModel, random_pentagon_model, two_gaussian_model
 from .oracle import convergence_experiment, model_flow_config, oracle_field
@@ -31,11 +32,11 @@ EXIT_NUMERICAL = 4
 
 
 class UsageError(Exception):
-    pass
+    code = EXIT_USAGE
 
 
 class DataError(Exception):
-    pass
+    code = EXIT_DATA
 
 
 def _fmt(v: float) -> str:
@@ -145,6 +146,8 @@ def cmd_simulate(args) -> int:
         raise UsageError("simulate requires --seed")
     if args.model is not None and args.model_json is not None:
         raise UsageError("give either --model or --model-json, not both")
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.model_json is not None:
@@ -182,12 +185,21 @@ def _parse_bounds(text):
     return tuple(parts)
 
 
+def _grid_spec(args, bounds) -> GridSpec:
+    """The output grid; degenerate bounds are a usage error when they come
+    from --bounds and a data error when the data span them."""
+    if args.grid < 2:
+        raise UsageError("--grid needs at least 2 nodes per axis")
+    try:
+        return GridSpec.from_bounds(bounds, args.grid)
+    except ValueError as e:
+        raise (UsageError if args.bounds else DataError)(str(e))
+
+
 def cmd_estimate(args) -> int:
     t_start = time.time()
     if not 0.0 < args.quantile < 1.0:
         raise UsageError("--quantile must lie strictly between 0 and 1")
-    if args.grid < 2:
-        raise UsageError("--grid needs at least 2 nodes per axis")
     trim = None
     if args.trim != "auto":
         try:
@@ -213,16 +225,12 @@ def cmd_estimate(args) -> int:
         raise UsageError("bandwidths must be positive")
 
     bounds = _parse_bounds(args.bounds) if args.bounds else cloud.bounds(margin=0.05)
-    try:
-        grid = GridSpec.from_bounds(bounds, args.grid)
-    except ValueError as e:  # degenerate bounds, given or spanned by the data
-        raise (UsageError if args.bounds else DataError)(str(e))
+    grid = _grid_spec(args, bounds)
     cfg = kde_flow_config(cloud, kernel, h)
 
     if args.tracer == "meanshift":
         paths = mean_shift_paths(cloud, kernel, h, cloud.points, cfg)
     elif args.tracer == "flow":
-        from .kernels import KernelDensityField
         paths = trace_ascent_paths(KernelDensityField(cloud, kernel, h),
                                    cloud.points, cfg)
     else:
@@ -260,6 +268,10 @@ def cmd_oracle(args) -> int:
     model = _load_model(args)
     if args.seed is None:
         raise UsageError("oracle requires --seed")
+    if args.n_mc < 1:
+        raise UsageError("--n-mc must be at least 1")
+    if args.r1 is not None and not args.r1 > 0:
+        raise UsageError("--r1 must be positive")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sig = model.max_sigma
@@ -267,7 +279,7 @@ def cmd_oracle(args) -> int:
     pad = 2 * sig
     bounds = (_parse_bounds(args.bounds) if args.bounds
               else (xmin - pad, xmax + pad, ymin - pad, ymax + pad))
-    grid = GridSpec.from_bounds(bounds, args.grid)
+    grid = _grid_spec(args, bounds)
 
     cfg = model_flow_config(model)
     crit = find_critical_points(model, model.box, cfg)
@@ -284,6 +296,20 @@ def cmd_oracle(args) -> int:
 def cmd_converge(args) -> int:
     if args.seed is None:
         raise UsageError("converge requires --seed")
+    try:
+        n_list = [int(t) for t in args.n.split(",")]
+    except ValueError:
+        raise UsageError("--n needs comma-separated integers")
+    if len(set(n_list)) < 2 or min(n_list) < 2:
+        raise UsageError("--n needs at least two distinct sample sizes, each at least 2")
+    if args.reps < 1:
+        raise UsageError("--reps must be at least 1")
+    if args.probes < 2:
+        raise UsageError("--probes needs at least 2 nodes per axis")
+    if args.oracle_n_mc < 1:
+        raise UsageError("--oracle-n-mc must be at least 1")
+    if not args.oracle_r1 > 0:
+        raise UsageError("--oracle-r1 must be positive")
     if args.model_json:
         model = _load_model(args)
     elif args.model == "two-gaussian":
@@ -292,7 +318,6 @@ def cmd_converge(args) -> int:
         raise UsageError("converge needs --model two-gaussian or --model-json")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    n_list = [int(t) for t in args.n.split(",")]
     xmin, xmax, ymin, ymax = model.box
     probe = GridSpec(xmin, xmax, ymin, ymax, args.probes, args.probes)
     table = convergence_experiment(model, n_list, args.reps, probe, args.seed,
@@ -313,7 +338,8 @@ def cmd_converge(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="pathdensity",
         description="Detect filamentary structure in 2-D point clouds by "
@@ -370,34 +396,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_converge)
-    return parser
+    return parser, sub.choices
+
+
+def _apply_config(rest, commands):
+    """Make the keys of the JSON file named first in `rest` the defaults of
+    every subcommand; each key must be the name of some subcommand's flag."""
+    try:
+        with open(rest[0], "r", encoding="utf-8") as f:
+            defaults = json.load(f)
+    except (OSError, json.JSONDecodeError, IndexError) as e:
+        raise UsageError(f"cannot read config: {e}")
+    if not isinstance(defaults, dict):
+        raise UsageError("config must be a JSON object")
+    flags = {a.dest for sp in commands.values() for a in sp._actions} - {"help"}
+    unknown = sorted(set(defaults) - flags)
+    if unknown:
+        raise UsageError(f"config keys match no flag: {', '.join(unknown)}")
+    for sp in commands.values():
+        sp.set_defaults(**defaults)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-
-    if "--config" in argv:
-        i = argv.index("--config")
-        try:
-            with open(argv[i + 1], "r", encoding="utf-8") as f:
-                defaults = json.load(f)
-        except (OSError, json.JSONDecodeError, IndexError) as e:
-            print(f"error: cannot read config: {e}", file=sys.stderr)
-            return EXIT_USAGE
-        for sp in parser._subparsers._group_actions[0].choices.values():
-            sp.set_defaults(**{k: v for k, v in defaults.items()})
-
+    parser, commands = build_parser()
     try:
+        if "--config" in argv:
+            _apply_config(argv[argv.index("--config") + 1:], commands)
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, DataError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except FlowNumericalError as e:
+        return e.code
+    except (FlowNumericalError, MeanShiftUnderflowError) as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,7 +1,7 @@
 """Steepest-ascent integral curves, mean-shift trajectories, and critical points.
 
-Any object with vectorized value(x) / gradient(x) / hessian(x) methods works as
-a field source; points may be a single (2,) coordinate or an (m, 2) batch.
+Any object with a vectorized derivatives(x, order) method works as a field
+source; points may be a single (2,) coordinate or an (m, 2) batch.
 """
 
 from dataclasses import dataclass
@@ -10,13 +10,13 @@ from typing import Protocol
 import numpy as np
 
 from .geometry import as_points
-from .kernels import KernelSpec, PointCloud, squared_distance_matrix
+from .kernels import (KernelSpec, PointCloud, _kde_derivatives, _kde_terms,
+                      _weight_sums)
 
 
 class ScalarField(Protocol):
-    def value(self, x): ...
-    def gradient(self, x): ...
-    def hessian(self, x): ...
+    def derivatives(self, x, order: int) -> tuple:
+        """(value, gradient, Hessian) at x, the first order + 1 of them."""
 
 
 class FlowNumericalError(RuntimeError):
@@ -108,12 +108,8 @@ class _Recorder:
     it is neither still active (cut at max_steps) nor stalled.
     """
 
-    def __init__(self, starts, values0):
-        m = len(starts)
-        self.ids = [np.arange(m)]
-        self.pos = [starts.copy()]
-        self.times = [np.zeros(m)]
-        self.values = [values0.copy()]
+    def __init__(self, m):
+        self.ids, self.pos, self.times, self.values = [], [], [], []
         self.stalled = np.zeros(m, dtype=bool)
 
     def record(self, idx, pos, t, val):
@@ -167,7 +163,15 @@ def _refine_cap(pos, refine_disks):
     return cap.min(axis=1)
 
 
-def _ascend(field: ScalarField, starts, cfg: FlowConfig, refine_disks):
+def trace_ascent_paths(field: ScalarField, starts, cfg: FlowConfig,
+                       refine_disks=None) -> list[AscentPath]:
+    """Trace the gradient flow of `field` forward from each start.
+
+    Classic RK4 on dx/dt = grad(x) with per-path adaptive time steps; a step
+    is halved until the field value does not decrease (up to max_halvings).
+    Stops per path when the gradient norm or the displacement drops below its
+    tolerance, or after max_steps.
+    """
     starts = as_points(starts)
     if refine_disks is not None:
         centers = as_points(refine_disks[0])
@@ -177,12 +181,12 @@ def _ascend(field: ScalarField, starts, cfg: FlowConfig, refine_disks):
     m = len(starts)
     pos = starts.copy()
     t = np.zeros(m)
-    val = np.asarray(field.value(pos), dtype=float).reshape(m)
+    val, grad = field.derivatives(pos, 1)
     if not np.all(np.isfinite(val)):
         raise FlowNumericalError("non-finite field value at a start point")
-    grad = np.asarray(field.gradient(pos), dtype=float).reshape(m, 2)
     gnorm = np.hypot(grad[:, 0], grad[:, 1])
-    rec = _Recorder(starts, val)
+    rec = _Recorder(m)
+    rec.record(np.arange(m), starts.copy(), np.zeros(m), val.copy())
 
     active = gnorm >= cfg.grad_tolerance
     last_dt = np.full(m, np.inf)
@@ -205,13 +209,15 @@ def _ascend(field: ScalarField, starts, cfg: FlowConfig, refine_disks):
 
         def rk4(p0, k1, dt_):
             half = 0.5 * dt_[:, None]
-            k2 = np.asarray(field.gradient(p0 + half * k1), dtype=float).reshape(-1, 2)
-            k3 = np.asarray(field.gradient(p0 + half * k2), dtype=float).reshape(-1, 2)
-            k4 = np.asarray(field.gradient(p0 + dt_[:, None] * k3), dtype=float).reshape(-1, 2)
+            k2 = field.derivatives(p0 + half * k1, 1)[1]
+            k3 = field.derivatives(p0 + half * k2, 1)[1]
+            k4 = field.derivatives(p0 + dt_[:, None] * k3, 1)[1]
             return p0 + (dt_[:, None] / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+        # the pass that tests a trial's value also gives its gradient, which
+        # is the next step's k1 once the trial is accepted
         trial = rk4(p, g, dt)
-        v1 = np.asarray(field.value(trial), dtype=float).reshape(len(idx))
+        v1, g1 = field.derivatives(trial, 1)
         stalled = np.zeros(len(idx), dtype=bool)
         for _h in range(cfg.max_halvings):
             bad = ~np.isfinite(v1) | (v1 < v0 - cfg.ascent_tolerance)
@@ -219,7 +225,7 @@ def _ascend(field: ScalarField, starts, cfg: FlowConfig, refine_disks):
                 break
             dt[bad] *= 0.5
             trial[bad] = rk4(p[bad], g[bad], dt[bad])
-            v1[bad] = np.asarray(field.value(trial[bad]), dtype=float).reshape(-1)
+            v1[bad], g1[bad] = field.derivatives(trial[bad], 1)
         else:
             stalled = ~np.isfinite(v1) | (v1 < v0 - cfg.ascent_tolerance)
 
@@ -234,10 +240,8 @@ def _ascend(field: ScalarField, starts, cfg: FlowConfig, refine_disks):
         val[moved] = v1[ok]
         last_dt[moved] = dt[ok]
         rec.record(moved, trial[ok], t[moved], v1[ok])
-
-        g_new = np.asarray(field.gradient(pos[moved]), dtype=float).reshape(-1, 2)
-        grad[moved] = g_new
-        gnorm[moved] = np.hypot(g_new[:, 0], g_new[:, 1])
+        grad[moved] = g1[ok]
+        gnorm[moved] = np.hypot(g1[ok, 0], g1[ok, 1])
 
         done = np.zeros(len(idx), dtype=bool)
         done[ok] = (gnorm[moved] < cfg.grad_tolerance) | (disp < cfg.min_displacement)
@@ -248,24 +252,9 @@ def _ascend(field: ScalarField, starts, cfg: FlowConfig, refine_disks):
     return rec.build(active, gnorm, cfg.trim_fraction)
 
 
-def trace_ascent_paths(field: ScalarField, starts, cfg: FlowConfig,
-                       refine_disks=None) -> list[AscentPath]:
-    """Trace the gradient flow of `field` forward from each start.
-
-    Classic RK4 on dx/dt = grad(x) with per-path adaptive time steps; a step
-    is halved until the field value does not decrease (up to max_halvings).
-    Stops per path when the gradient norm or the displacement drops below its
-    tolerance, or after max_steps.
-    """
-    return _ascend(field, starts, cfg, refine_disks)
-
-
 def trace_ascent_path(field: ScalarField, x0, cfg: FlowConfig,
                       refine_disks=None) -> AscentPath:
     return trace_ascent_paths(field, [x0], cfg, refine_disks=refine_disks)[0]
-
-
-_MS_CHUNK = 1024
 
 
 def mean_shift_paths(cloud: PointCloud, kernel: KernelSpec, h: float,
@@ -276,41 +265,36 @@ def mean_shift_paths(cloud: PointCloud, kernel: KernelSpec, h: float,
     ascends the KDE and stops when the displacement drops below
     min_displacement (or at max_steps).
     """
-    from .kernels import kde_density, kde_gradient
-
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
     starts = as_points(starts)
-    data = cloud.points
     m = len(starts)
     pos = starts.copy()
-    val0 = np.asarray(kde_density(cloud, kernel, h, pos), dtype=float).reshape(m)
-    rec = _Recorder(starts, val0)
+    t = np.zeros(m)
+    rec = _Recorder(m)
     active = np.ones(m, dtype=bool)
 
     for step in range(cfg.max_steps):
         if not active.any():
             break
         idx = np.nonzero(active)[0]
-        new = np.empty((len(idx), 2))
-        for s in range(0, len(idx), _MS_CHUNK):
-            rows = idx[s:s + _MS_CHUNK]
-            d2 = squared_distance_matrix(pos[rows], data)
-            w = np.exp(d2 * (-0.5 / (h * h)))
-            if kernel.profile == "truncated-gaussian":
-                w[d2 > (kernel.cutoff * h) ** 2] = 0.0
-            denom = w.sum(axis=1)
-            if np.any(denom <= 0.0):
-                raise MeanShiftUnderflowError(
-                    "all kernel weights underflowed: start too far from data")
-            new[s:s + _MS_CHUNK] = (w @ data) / denom[:, None]
-        disp = np.hypot(new[:, 0] - pos[idx, 0], new[:, 1] - pos[idx, 1])
+        p = pos[idx]
+        s0, s1 = _weight_sums(cloud.points, kernel, h, p, 1)
+        if np.any(s0 <= 0.0):
+            raise MeanShiftUnderflowError(
+                "all kernel weights underflowed: start too far from data")
+        # the weight sum that divides the mean is the KDE at p up to a
+        # constant, so each vertex is recorded one step after it is reached
+        rec.record(idx, p, t[idx], _kde_terms(kernel, h, cloud.n, p, [s0])[0])
+        new = s1 / s0[:, None]
+        disp = np.hypot(new[:, 0] - p[:, 0], new[:, 1] - p[:, 1])
         pos[idx] = new
-        v = np.asarray(kde_density(cloud, kernel, h, new), dtype=float).reshape(-1)
-        rec.record(idx, new, np.full(len(idx), float(step + 1)), v)
+        t[idx] = step + 1
         active[idx[disp < cfg.min_displacement]] = False
 
-    grad = np.asarray(kde_gradient(cloud, kernel, h, pos), dtype=float).reshape(m, 2)
+    # every path's last vertex is still unrecorded
+    val, grad = _kde_derivatives(cloud, kernel, h, pos, 1)
+    rec.record(np.arange(m), pos, t, val)
     gnorm = np.hypot(grad[:, 0], grad[:, 1])
     return rec.build(active, gnorm, cfg.trim_fraction)
 
@@ -358,11 +342,10 @@ def find_critical_points(field: ScalarField, domain, cfg: FlowConfig,
     roots = []
     for seed in seeds:
         p = seed.copy()
-        gn = np.hypot(*np.asarray(field.gradient(p), dtype=float))
         accepted = False
         for _ in range(max_newton_steps):
-            g = np.asarray(field.gradient(p), dtype=float)
-            H = np.asarray(field.hessian(p), dtype=float)
+            _, g, H = field.derivatives(p, 2)
+            gn = np.hypot(*g)
             try:
                 step = np.linalg.solve(H, g)
             except np.linalg.LinAlgError:
@@ -378,21 +361,21 @@ def find_critical_points(field: ScalarField, domain, cfg: FlowConfig,
             t = 1.0
             while t > 1e-4:
                 q = p - t * step
-                gq = np.hypot(*np.asarray(field.gradient(q), dtype=float))
+                gq = np.hypot(*field.derivatives(q, 1)[1])
                 if gq <= (1.0 - 0.25 * t) * gn or gq < cfg.grad_tolerance:
                     break
                 t *= 0.5
             else:
                 break
-            p, gn = q, gq
+            p = q
             if not (xmin - pad <= p[0] <= xmax + pad and ymin - pad <= p[1] <= ymax + pad):
                 break
             # a root is where the Newton increment collapses, not merely where
             # the gradient is small (flat tails have tiny gradients everywhere)
             if t == 1.0 and norm < step_tol:
-                accepted = True
+                accepted = gq < cfg.grad_tolerance
                 break
-        if accepted and gn < cfg.grad_tolerance:
+        if accepted:
             roots.append(p)
 
     merged: list[np.ndarray] = []
@@ -407,7 +390,7 @@ def find_critical_points(field: ScalarField, domain, cfg: FlowConfig,
 
     out = []
     for p in merged:
-        H = np.asarray(field.hessian(p), dtype=float)
+        H = field.derivatives(p, 2)[2]
         tol = degeneracy_tol if degeneracy_tol is not None else 1e-9 * max(
             1.0, float(np.max(np.abs(H))))
         ev = np.linalg.eigvalsh(H)

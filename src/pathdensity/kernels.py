@@ -87,7 +87,7 @@ class PointCloud:
         return float(np.max(hi - lo))
 
 
-_CHUNK = 2048
+_CHUNK = 1024
 
 
 def squared_distance_matrix(pts: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -105,73 +105,90 @@ def _profile_weights(kernel: KernelSpec, d2: np.ndarray, h: float) -> np.ndarray
     return k
 
 
-def _check_kde_args(cloud, h):
+def _weight_sums(data: np.ndarray, kernel: KernelSpec, h: float, pts: np.ndarray,
+                 order: int) -> list:
+    """Row sums of the weight block K(||p - X_i|| / h) over the data X_i,
+    built once per chunk of rows: s0 = sum K, then for order >= 1
+    s1 = sum K X_i (m, 2), and for order 2 the second moments
+    sum K (x_i^2, x_i y_i, y_i^2) (m, 3)."""
+    sums = [np.empty(len(pts)), np.empty((len(pts), 2)),
+            np.empty((len(pts), 3))][:order + 1]
+    if order == 2:
+        moments = (data[:, 0] * data[:, 0], data[:, 0] * data[:, 1],
+                   data[:, 1] * data[:, 1])
+    for s in range(0, len(pts), _CHUNK):
+        sl = slice(s, s + _CHUNK)
+        k = _profile_weights(kernel, squared_distance_matrix(pts[sl], data), h)
+        sums[0][sl] = k.sum(axis=1)
+        if order >= 1:
+            sums[1][sl] = k @ data
+        if order == 2:
+            for j, col in enumerate(moments):
+                sums[2][sl, j] = k @ col
+    return sums
+
+
+def _kde_terms(kernel: KernelSpec, h: float, n: int, pts: np.ndarray,
+               sums: list) -> list:
+    """KDE value, gradient and Hessian at pts from the weight sums of an
+    n-point cloud, as far as the sums go."""
+    s0 = sums[0]
+    terms = [kernel.normalizer / (h * h * n) * s0]
+    c = kernel.normalizer / (h**4 * n)
+    if len(sums) > 1:
+        s1 = sums[1]
+        terms.append(-c * (pts * s0[:, None] - s1))
+    if len(sums) > 2:
+        px, py = pts[:, 0], pts[:, 1]
+        kxx, kxy, kyy = sums[2].T
+        # second moments of (x - X_i) under the kernel weights
+        m00 = px**2 * s0 - 2 * px * s1[:, 0] + kxx
+        m11 = py**2 * s0 - 2 * py * s1[:, 1] + kyy
+        m01 = px * py * s0 - px * s1[:, 1] - py * s1[:, 0] + kxy
+        H = np.empty((len(pts), 2, 2))
+        H[:, 0, 0] = c * (m00 / h**2 - s0)
+        H[:, 1, 1] = c * (m11 / h**2 - s0)
+        H[:, 0, 1] = c * m01 / h**2
+        H[:, 1, 0] = H[:, 0, 1]
+        terms.append(H)
+    return terms
+
+
+def _unbatch(x, terms: list) -> tuple:
+    """Field terms computed on as_points(x), unbatched when x is one point:
+    the value as a float, the gradient (2,) and the Hessian (2, 2)."""
+    if np.ndim(x) == 1:
+        return (float(terms[0][0]),) + tuple(t[0] for t in terms[1:])
+    return tuple(terms)
+
+
+def _kde_derivatives(cloud, kernel: KernelSpec, h: float, x, order: int) -> tuple:
     if not isinstance(cloud, PointCloud):
         cloud = PointCloud(np.asarray(cloud))
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
-    return cloud
+    pts = as_points(x)
+    sums = _weight_sums(cloud.points, kernel, h, pts, order)
+    return _unbatch(x, _kde_terms(kernel, h, cloud.n, pts, sums))
 
 
 def kde_density(cloud: PointCloud, kernel: KernelSpec, h: float, x):
     """Kernel density estimate at x: mean over data of (c_K/h^2) K(||x - X_i|| / h)."""
-    cloud = _check_kde_args(cloud, h)
-    pts = as_points(x)
-    data = cloud.points
-    out = np.empty(len(pts))
-    c = kernel.normalizer / (h * h * cloud.n)
-    for s in range(0, len(pts), _CHUNK):
-        sl = slice(s, min(s + _CHUNK, len(pts)))
-        k = _profile_weights(kernel, squared_distance_matrix(pts[sl], data), h)
-        out[sl] = c * k.sum(axis=1)
-    return float(out[0]) if np.ndim(x) == 1 else out
+    return _kde_derivatives(cloud, kernel, h, x, 0)[0]
 
 
 def kde_gradient(cloud: PointCloud, kernel: KernelSpec, h: float, x):
     """Analytic gradient of the KDE at x."""
-    cloud = _check_kde_args(cloud, h)
-    pts = as_points(x)
-    data = cloud.points
-    out = np.empty((len(pts), 2))
-    c = kernel.normalizer / (h**4 * cloud.n)
-    for s in range(0, len(pts), _CHUNK):
-        sl = slice(s, min(s + _CHUNK, len(pts)))
-        k = _profile_weights(kernel, squared_distance_matrix(pts[sl], data), h)
-        s0 = k.sum(axis=1)
-        s1 = k @ data
-        out[sl] = -c * (pts[sl] * s0[:, None] - s1)
-    return out[0] if np.ndim(x) == 1 else out
+    return _kde_derivatives(cloud, kernel, h, x, 1)[1]
 
 
 def kde_hessian(cloud: PointCloud, kernel: KernelSpec, h: float, x):
     """Analytic Hessian of the KDE at x; exactly symmetric by construction."""
-    cloud = _check_kde_args(cloud, h)
-    pts = as_points(x)
-    data = cloud.points
-    out = np.empty((len(pts), 2, 2))
-    c = kernel.normalizer / (h**4 * cloud.n)
-    xx = data[:, 0] * data[:, 0]
-    xy = data[:, 0] * data[:, 1]
-    yy = data[:, 1] * data[:, 1]
-    for s in range(0, len(pts), _CHUNK):
-        sl = slice(s, min(s + _CHUNK, len(pts)))
-        p = pts[sl]
-        k = _profile_weights(kernel, squared_distance_matrix(p, data), h)
-        s0 = k.sum(axis=1)
-        s1 = k @ data
-        # second moments of (x - X_i) under the kernel weights
-        m00 = p[:, 0] ** 2 * s0 - 2 * p[:, 0] * s1[:, 0] + k @ xx
-        m11 = p[:, 1] ** 2 * s0 - 2 * p[:, 1] * s1[:, 1] + k @ yy
-        m01 = p[:, 0] * p[:, 1] * s0 - p[:, 0] * s1[:, 1] - p[:, 1] * s1[:, 0] + k @ xy
-        out[sl, 0, 0] = c * (m00 / h**2 - s0)
-        out[sl, 1, 1] = c * (m11 / h**2 - s0)
-        out[sl, 0, 1] = c * m01 / h**2
-        out[sl, 1, 0] = out[sl, 0, 1]
-    return out[0] if np.ndim(x) == 1 else out
+    return _kde_derivatives(cloud, kernel, h, x, 2)[2]
 
 
 class KernelDensityField:
-    """The KDE as an evaluable scalar field (value / gradient / hessian)."""
+    """The KDE as an evaluable scalar field."""
 
     def __init__(self, cloud: PointCloud, kernel: KernelSpec, h: float):
         if h <= 0:
@@ -180,11 +197,7 @@ class KernelDensityField:
         self.kernel = kernel
         self.h = float(h)
 
-    def value(self, x):
-        return kde_density(self.cloud, self.kernel, self.h, x)
-
-    def gradient(self, x):
-        return kde_gradient(self.cloud, self.kernel, self.h, x)
-
-    def hessian(self, x):
-        return kde_hessian(self.cloud, self.kernel, self.h, x)
+    def derivatives(self, x, order: int) -> tuple:
+        """(value, gradient, Hessian) at x up to `order` (0, 1 or 2), from one
+        pass over the kernel weights."""
+        return _kde_derivatives(self.cloud, self.kernel, self.h, x, order)

@@ -3,17 +3,19 @@
 The density is alpha_0 * uniform(box) + sum_i alpha_i * integral of
 w_i(s) * N2(x - f_i(s), sigma_i^2 I) ds + sum_j alpha_j * N2(x - z_j, sigma_j^2 I).
 Line integrals run over arclength-parameterized polylines; the model exposes
-value / gradient / hessian and so can be traced like any other field.
+value, gradient and Hessian from one pass and so can be traced like any
+other field.
 """
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import (as_points, point_on_polyline, polyline_arclength,
                        polyline_self_intersects)
-from .kernels import PointCloud, squared_distance_matrix
+from .kernels import PointCloud, _unbatch, squared_distance_matrix
 
 _EVAL_CHUNK = 2048
 
@@ -25,16 +27,10 @@ class QuadratureSpec:
     arclength wherever the weight density is not vanishing."""
 
     nodes_per_sigma: int = 8
-    rule: str = "gauss-legendre-per-segment"
 
     def __post_init__(self):
         if self.nodes_per_sigma < 2:
             raise ValueError("nodes_per_sigma must be >= 2")
-        if self.rule not in ("trapezoid", "gauss-legendre-per-segment"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
-
-
-DEFAULT_QUAD = QuadratureSpec()
 
 
 class Filament:
@@ -107,21 +103,14 @@ class Filament:
     def quadrature(self, spec: QuadratureSpec):
         """(points (N,2), weights (N,)) approximating integral w(s) g(f(s)) ds
         as sum weights * g(points); the weight density is absorbed by placing
-        nodes through its CDF."""
-        if spec.rule == "trapezoid":
-            n = self._n_intervals(1, spec.nodes_per_sigma)
-            u = np.linspace(0.0, 1.0, n + 1)
-            w = np.full(n + 1, 1.0 / n)
-            w[0] *= 0.5
-            w[-1] *= 0.5
-        else:
-            n = self._n_intervals(2, spec.nodes_per_sigma)
-            edges = np.linspace(0.0, 1.0, n + 1)
-            du = 1.0 / n
-            off = du / (2.0 * np.sqrt(3.0))
-            centers = (edges[:-1] + edges[1:]) / 2.0
-            u = np.sort(np.concatenate([centers - off, centers + off]))
-            w = np.full(2 * n, du / 2.0)
+        nodes through its CDF; two Gauss-Legendre nodes per CDF interval."""
+        n = self._n_intervals(2, spec.nodes_per_sigma)
+        edges = np.linspace(0.0, 1.0, n + 1)
+        du = 1.0 / n
+        off = du / (2.0 * np.sqrt(3.0))
+        centers = (edges[:-1] + edges[1:]) / 2.0
+        u = np.sort(np.concatenate([centers - off, centers + off]))
+        w = np.full(2 * n, du / 2.0)
         pts = self.point_at(self.weight_ppf(u))
         return pts, w
 
@@ -153,48 +142,46 @@ class _SigmaGroup:
         self.wxy = self.wx * self.nodes[:, 1]
         self.wyy = self.wy * self.nodes[:, 1]
 
-    def _phi(self, pts):
+    def derivatives(self, pts, order: int) -> list:
+        """Value, gradient and Hessian of this group's mass at pts, up to
+        `order`, from one block of Gaussian weights."""
         d2 = squared_distance_matrix(pts, self.nodes)
-        s2 = self.sigma * self.sigma
-        np.multiply(d2, -0.5 / s2, out=d2)
+        var = self.sigma * self.sigma
+        np.multiply(d2, -0.5 / var, out=d2)
         np.exp(d2, out=d2)
-        return d2 / (2.0 * np.pi * s2)
-
-    def value(self, pts) -> np.ndarray:
-        return self._phi(pts) @ self.w
-
-    def gradient(self, pts) -> np.ndarray:
-        phi = self._phi(pts)
+        phi = d2 / (2.0 * np.pi * var)
         s0 = phi @ self.w
-        g = np.empty((len(pts), 2))
-        g[:, 0] = pts[:, 0] * s0 - phi @ self.wx
-        g[:, 1] = pts[:, 1] * s0 - phi @ self.wy
-        g *= -1.0 / self.sigma**2
-        return g
-
-    def hessian(self, pts) -> np.ndarray:
-        phi = self._phi(pts)
-        s0 = phi @ self.w
+        terms = [s0]
+        if order == 0:
+            return terms
         s1x = phi @ self.wx
         s1y = phi @ self.wy
         px, py = pts[:, 0], pts[:, 1]
+        g = np.empty((len(pts), 2))
+        g[:, 0] = px * s0 - s1x
+        g[:, 1] = py * s0 - s1y
+        g *= -1.0 / self.sigma**2
+        terms.append(g)
+        if order == 1:
+            return terms
         m00 = px * px * s0 - 2 * px * s1x + phi @ self.wxx
         m11 = py * py * s0 - 2 * py * s1y + phi @ self.wyy
         m01 = px * py * s0 - px * s1y - py * s1x + phi @ self.wxy
         s2, s4 = self.sigma**2, self.sigma**4
-        out = np.empty((len(pts), 2, 2))
-        out[:, 0, 0] = m00 / s4 - s0 / s2
-        out[:, 1, 1] = m11 / s4 - s0 / s2
-        out[:, 0, 1] = m01 / s4
-        out[:, 1, 0] = out[:, 0, 1]
-        return out
+        H = np.empty((len(pts), 2, 2))
+        H[:, 0, 0] = m00 / s4 - s0 / s2
+        H[:, 1, 1] = m11 / s4 - s0 / s2
+        H[:, 0, 1] = m01 / s4
+        H[:, 1, 0] = H[:, 0, 1]
+        terms.append(H)
+        return terms
 
 
 class FilamentModel:
     """The full mixture; immutable after construction and safe to share."""
 
     def __init__(self, filaments, filament_weights, clusters, cluster_weights,
-                 background_weight: float, box, quad: QuadratureSpec = DEFAULT_QUAD):
+                 background_weight: float, box, quad: QuadratureSpec = QuadratureSpec()):
         self.filaments = list(filaments)
         self.filament_weights = np.asarray(filament_weights, dtype=float).reshape(-1)
         self.clusters = [c if isinstance(c, Cluster) else Cluster(tuple(c[0]), float(c[1]))
@@ -203,7 +190,6 @@ class FilamentModel:
         self.background_weight = float(background_weight)
         self.box = tuple(float(b) for b in box)
         self.quad = quad
-        self._group_cache: dict[QuadratureSpec, list[_SigmaGroup]] = {}
 
         weights = np.concatenate([[self.background_weight], self.filament_weights,
                                   self.cluster_weights])
@@ -253,65 +239,51 @@ class FilamentModel:
                (pts[:, 0] >= xmin - tol) & (pts[:, 0] <= xmax + tol)
         return on_x | on_y
 
-    def _groups(self, quad: QuadratureSpec) -> list[_SigmaGroup]:
-        if quad not in self._group_cache:
-            by_sigma: dict[float, list] = {}
-            for alpha, f in zip(self.filament_weights, self.filaments):
-                if alpha == 0:
-                    continue
-                nodes, w = f.quadrature(quad)
-                by_sigma.setdefault(f.sigma, []).append((nodes, alpha * w))
-            for alpha, c in zip(self.cluster_weights, self.clusters):
-                if alpha == 0:
-                    continue
-                by_sigma.setdefault(c.sigma, []).append(
-                    (np.asarray([c.center], dtype=float), np.asarray([alpha])))
-            self._group_cache[quad] = [
-                _SigmaGroup(s, np.concatenate([n for n, _ in parts]),
+    @cached_property
+    def _groups(self) -> list[_SigmaGroup]:
+        # built on first evaluation: sampling never needs the quadrature
+        by_sigma: dict[float, list] = {}
+        for alpha, f in zip(self.filament_weights, self.filaments):
+            if alpha == 0:
+                continue
+            nodes, w = f.quadrature(self.quad)
+            by_sigma.setdefault(f.sigma, []).append((nodes, alpha * w))
+        for alpha, c in zip(self.cluster_weights, self.clusters):
+            if alpha == 0:
+                continue
+            by_sigma.setdefault(c.sigma, []).append(
+                (np.asarray([c.center], dtype=float), np.asarray([alpha])))
+        return [_SigmaGroup(s, np.concatenate([n for n, _ in parts]),
                             np.concatenate([w for _, w in parts]))
-                for s, parts in sorted(by_sigma.items())
-            ]
-        return self._group_cache[quad]
+                for s, parts in sorted(by_sigma.items())]
 
     # -- field interface ---------------------------------------------------
 
-    def value(self, x, quad: QuadratureSpec | None = None):
-        groups = self._groups(quad or self.quad)
+    def derivatives(self, x, order: int) -> tuple:
+        """(value, gradient, Hessian) of the density at x up to `order`
+        (0, 1 or 2), from one pass over each group's Gaussian weights."""
         pts = as_points(x)
-        out = np.zeros(len(pts))
-        if self.background_weight > 0:
-            out += self.background_weight * self._in_box(pts) / self.box_area
-        for s in range(0, len(pts), _EVAL_CHUNK):
-            sl = slice(s, min(s + _EVAL_CHUNK, len(pts)))
-            for g in groups:
-                out[sl] += g.value(pts[sl])
-        return float(out[0]) if np.ndim(x) == 1 else out
-
-    def _check_differentiable(self, pts):
-        if self.background_weight > 0 and bool(self._on_box_edge(pts).any()):
+        if order > 0 and self.background_weight > 0 and self._on_box_edge(pts).any():
             raise ValueError("density is not differentiable on the box boundary")
-
-    def gradient(self, x, quad: QuadratureSpec | None = None):
-        groups = self._groups(quad or self.quad)
-        pts = as_points(x)
-        self._check_differentiable(pts)
-        out = np.zeros((len(pts), 2))
+        terms = [np.zeros((len(pts),) + shape)
+                 for shape in [(), (2,), (2, 2)][:order + 1]]
+        if self.background_weight > 0:
+            terms[0] += self.background_weight * self._in_box(pts) / self.box_area
         for s in range(0, len(pts), _EVAL_CHUNK):
-            sl = slice(s, min(s + _EVAL_CHUNK, len(pts)))
-            for g in groups:
-                out[sl] += g.gradient(pts[sl])
-        return out[0] if np.ndim(x) == 1 else out
+            sl = slice(s, s + _EVAL_CHUNK)
+            for g in self._groups:
+                for total, part in zip(terms, g.derivatives(pts[sl], order)):
+                    total[sl] += part
+        return _unbatch(x, terms)
 
-    def hessian(self, x, quad: QuadratureSpec | None = None):
-        groups = self._groups(quad or self.quad)
-        pts = as_points(x)
-        self._check_differentiable(pts)
-        out = np.zeros((len(pts), 2, 2))
-        for s in range(0, len(pts), _EVAL_CHUNK):
-            sl = slice(s, min(s + _EVAL_CHUNK, len(pts)))
-            for g in groups:
-                out[sl] += g.hessian(pts[sl])
-        return out[0] if np.ndim(x) == 1 else out
+    def value(self, x):
+        return self.derivatives(x, 0)[0]
+
+    def gradient(self, x):
+        return self.derivatives(x, 1)[1]
+
+    def hessian(self, x):
+        return self.derivatives(x, 2)[2]
 
     # -- sampling ----------------------------------------------------------
 

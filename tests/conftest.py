@@ -10,18 +10,11 @@ from pathdensity.oracle import point_density_terms
 class QuadraticPeakField:
     """g(x) = -||x||^2 / 2: unique maximum at the origin, flow x(t) = x0 e^-t."""
 
-    def value(self, x):
+    def derivatives(self, x, order):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        v = -0.5 * (x**2).sum(axis=1)
-        return v
-
-    def gradient(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return -x.copy()
-
-    def hessian(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.broadcast_to(-np.eye(2), (len(x), 2, 2)).copy()
+        terms = (-0.5 * (x**2).sum(axis=1), -x.copy(),
+                 np.broadcast_to(-np.eye(2), (len(x), 2, 2)).copy())
+        return terms[:order + 1]
 
 
 def fd_gradient(value_fn, x, step):

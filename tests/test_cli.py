@@ -164,6 +164,20 @@ def test_estimate_bad_input_exit_codes(tmp_path, capsys, rows, flags, code):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_mean_shift_underflow_exits_4(pentagon_points, tmp_path, capsys,
+                                     monkeypatch):
+    import pathdensity.cli as cli
+    from pathdensity.flow import MeanShiftUnderflowError
+
+    def underflow(*args, **kwargs):
+        raise MeanShiftUnderflowError("all kernel weights underflowed")
+
+    monkeypatch.setattr(cli, "mean_shift_paths", underflow)
+    assert run("estimate", "--points", str(pentagon_points / "points.csv"),
+               "--out", str(tmp_path / "o"), "--grid", "8") == 4
+    assert "underflowed" in capsys.readouterr().err
+
+
 def test_estimate_deterministic_across_worker_counts(pentagon_points, tmp_path,
                                                      monkeypatch):
     outs = []
@@ -182,6 +196,44 @@ def test_estimate_flow_tracer_runs(pentagon_points, tmp_path):
     assert run("estimate", "--points", str(pentagon_points / "points.csv"),
                "--out", str(out), "--grid", "24", "--tracer", "flow") == 0
     assert (out / "field.csv").exists()
+
+
+# -- flags of simulate, oracle and converge ----------------------------------
+
+@pytest.fixture(scope="module")
+def two_gaussian_json(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tg")
+    assert run("simulate", "--model", "two-gaussian", "--n", "10", "--seed", "1",
+               "--out", str(out)) == 0
+    return out / "model.json"
+
+
+FAST_CONVERGE = ["--oracle-n-mc", "200", "--probes", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "0"],
+    ["oracle", "--grid", "1"],
+    ["oracle", "--bounds", "0,0,0,1"],
+    ["oracle", "--n-mc", "0"],
+    ["oracle", "--r1", "-0.1"],
+    ["converge", "--n", "100,200", "--oracle-n-mc", "200", "--probes", "1"],
+    ["converge", "--n", "10,x", *FAST_CONVERGE],
+    ["converge", "--n", "1,50", *FAST_CONVERGE],
+    ["converge", "--n", "50", "--reps", "2", *FAST_CONVERGE],
+    ["converge", "--n", "50,100", "--reps", "0", *FAST_CONVERGE],
+    ["converge", "--n", "50,100", "--reps", "1", "--oracle-n-mc", "0",
+     "--probes", "4"],
+    ["converge", "--n", "50,100", "--reps", "1", "--oracle-r1", "0",
+     *FAST_CONVERGE],
+], ids=["simulate-n", "oracle-grid", "oracle-bounds", "oracle-n-mc",
+        "oracle-r1", "converge-probes", "converge-n-text", "converge-n-1",
+        "converge-one-size", "converge-reps", "converge-oracle-n-mc",
+        "converge-oracle-r1"])
+def test_bad_flag_exit_codes(two_gaussian_json, tmp_path, capsys, argv):
+    assert run(*argv, "--model-json", str(two_gaussian_json), "--seed", "1",
+               "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # -- oracle -------------------------------------------------------------------
@@ -232,3 +284,12 @@ def test_config_file_supplies_defaults(tmp_path):
     assert run("--config", str(cfg), "simulate") == 0
     pts = (tmp_path / "sim" / "points.csv").read_text().splitlines()
     assert len(pts) == 78
+
+
+def test_config_rejects_keys_no_flag_uses(two_gaussian_json, tmp_path, capsys):
+    # a model file is not a config file: none of its keys is a flag
+    assert run("--config", str(two_gaussian_json), "simulate", "--seed", "1",
+               "--out", str(tmp_path / "sim")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "background_weight" in err
+    assert not (tmp_path / "sim").exists()

@@ -168,6 +168,31 @@ def test_converged_flag_tells_cut_paths_from_finished_ones(gaussian_kernel,
     assert all(p.converged for p in trace())
 
 
+def _trim_hint(values, fraction):
+    """First vertex whose value gained `fraction` of the path's total gain."""
+    gain = values[-1] - values[0]
+    if gain <= 0:
+        return 0
+    return int(np.argmax(values - values[0] >= fraction * gain))
+
+
+@pytest.mark.parametrize("max_steps", [3, 10_000], ids=["cut", "finished"])
+def test_mean_shift_trim_hint_matches_vertex_values(gaussian_kernel, max_steps):
+    # mean shift takes each vertex's value from the weight sums of the next
+    # step (the last vertex's from a terminal pass): the trim hint must still
+    # be the one the KDE at the path's own vertices gives
+    from pathdensity.kernels import kde_density
+
+    model, cloud = random_pentagon_model(np.random.default_rng(4), n=150)
+    h = 0.1
+    cfg = kde_flow_config(cloud, gaussian_kernel, h, max_steps=max_steps)
+    paths = mean_shift_paths(cloud, gaussian_kernel, h, cloud.points, cfg)
+    assert all(p.converged == (max_steps > 3) for p in paths)
+    for p in paths:
+        vals = kde_density(cloud, gaussian_kernel, h, p.vertices)
+        assert p.trim_hint == _trim_hint(vals, cfg.trim_fraction)
+
+
 def test_mean_shift_ascends_kde(gaussian_kernel):
     from pathdensity.kernels import kde_density
 

@@ -30,9 +30,9 @@ GOLDEN = {
     },
     "estimate-flow": {
         "paths.csv":
-            "d3eee7a9e671f719298eee43c6168d87954f2654dcd03d069f69943edb88e4fe",
+            "b3f8178a84f63549f9f8e336dbe15094eb035dd45bd38188a7b33abce01a9559",
         "field.csv":
-            "2d37d8d5e1e3cf1bda0efee00b861cdd60bc46518fcfdf2296d9ae117b264970",
+            "30c340d5c1a0698963ad6a52d6b510c209c7f9c76af1ea40e4a0ef85527752a2",
         "levelset.csv":
             "0ffef3133244b585194d384aa3ddf77473af79411357771dffb809071eb5b728",
         "figure.svg":

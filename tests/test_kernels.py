@@ -4,6 +4,7 @@ import pytest
 from pathdensity.kernels import (KernelDensityField, KernelSpec, PointCloud,
                                  kde_density, kde_gradient, kde_hessian,
                                  kernel_value)
+from pathdensity.model import two_gaussian_model
 
 from conftest import fd_gradient, fd_hessian
 
@@ -175,9 +176,18 @@ def test_translation_invariance(small_cloud, gaussian_kernel):
     np.testing.assert_allclose(g1, g0, rtol=1e-9, atol=1e-14)
 
 
-def test_field_wrapper_delegates(small_cloud, gaussian_kernel):
-    f = KernelDensityField(small_cloud, gaussian_kernel, 0.5)
-    x = np.array([0.1, 0.2])
-    assert f.value(x) == kde_density(small_cloud, gaussian_kernel, 0.5, x)
-    np.testing.assert_array_equal(f.gradient(x),
-                                  kde_gradient(small_cloud, gaussian_kernel, 0.5, x))
+def test_derivatives_equal_the_views(small_cloud, gaussian_kernel):
+    kde = KernelDensityField(small_cloud, gaussian_kernel, 0.5)
+    model = two_gaussian_model()
+    views = {
+        kde: [lambda x, f=f: f(small_cloud, gaussian_kernel, 0.5, x)
+              for f in (kde_density, kde_gradient, kde_hessian)],
+        model: [model.value, model.gradient, model.hessian],
+    }
+    for field, (value, gradient, hessian) in views.items():
+        for x in (np.array([0.1, 0.2]), np.array([[0.1, 0.2], [-0.7, 0.4]])):
+            v, g, H = field.derivatives(x, 2)
+            assert type(v) is type(value(x))
+            np.testing.assert_array_equal(v, value(x))
+            np.testing.assert_array_equal(g, gradient(x))
+            np.testing.assert_array_equal(H, hessian(x))

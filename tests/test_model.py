@@ -60,15 +60,13 @@ def test_quadrature_node_density_covers_sigma():
     assert s[central].max() <= f.sigma / 4 + 1e-9
 
 
-def test_quadrature_rules_agree():
+def test_default_quadrature_matches_fine():
     f = unit_filament(weight="beta", sigma=0.05)
     m = filament_only_model(f)
+    fine = FilamentModel([f], [1.0], [], [], 0.0, m.box,
+                         quad=QuadratureSpec(nodes_per_sigma=32))
     probes = np.array([[0.5, 0.02], [0.15, -0.03], [0.97, 0.0]])
-    gl = m.value(probes, quad=QuadratureSpec(rule="gauss-legendre-per-segment"))
-    tz = m.value(probes, quad=QuadratureSpec(rule="trapezoid"))
-    np.testing.assert_allclose(tz, gl, rtol=1e-6)
-    fine = m.value(probes, quad=QuadratureSpec(nodes_per_sigma=32))
-    np.testing.assert_allclose(gl, fine, rtol=1e-6)
+    np.testing.assert_allclose(m.value(probes), fine.value(probes), rtol=1e-6)
 
 
 # -- density ------------------------------------------------------------------
