@@ -1,9 +1,8 @@
 """Filament detection in 2-D point clouds via steepest-ascent path density."""
 
-from .flow import (AscentPath, CriticalPoint, FlowConfig,
-                   classify_critical_point, find_critical_points,
-                   kde_flow_config, mean_shift_path, mean_shift_paths,
-                   trace_ascent_path, trace_ascent_paths)
+from .flow import (CriticalPoint, FlowConfig, classify_critical_point,
+                   find_critical_points, kde_flow_config, mean_shift_paths,
+                   trace_ascent_paths)
 from .grids import GridField, GridSpec
 from .kernels import (KernelDensityField, KernelSpec, PointCloud, kde_density,
                       kde_gradient, kde_hessian, kernel_value)
@@ -18,8 +17,8 @@ from .oracle import (PathDensityEstimate, PathMeasureEstimate, RateTable,
                      path_density_oracle, path_hit_counts, path_measure,
                      point_density_estimate, sample_and_trace,
                      true_path_ensemble)
-from .path_density import (BandwidthPlan, PathEnsemble, default_bandwidths,
-                           distance_to_path, estimate_path_density,
+from .path_density import (AscentPath, BandwidthPlan, PathEnsemble,
+                           default_bandwidths, estimate_path_density,
                            path_density_field)
 
 __version__ = "0.1.0"

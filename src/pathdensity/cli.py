@@ -23,8 +23,7 @@ from .levelset import level_set, quantile_threshold
 from .model import FilamentModel, random_pentagon_model, two_gaussian_model
 from .oracle import convergence_experiment, model_flow_config, oracle_field
 from .parallel import worker_count
-from .path_density import (PathEnsemble, default_bandwidths, path_density_field,
-                           trimmed_vertices)
+from .path_density import PathEnsemble, default_bandwidths, path_density_field
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -76,12 +75,15 @@ def read_points_csv(path) -> PointCloud:
     return PointCloud(np.asarray(rows))
 
 
-def write_paths_csv(path, paths):
+def write_paths_csv(path, paths: PathEnsemble):
+    counts = np.diff(paths.vertex_offsets)
+    pid = np.repeat(np.arange(paths.n_paths), counts)
+    step = np.arange(len(pid)) - np.repeat(paths.vertex_offsets[:-1], counts)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("path_id,step,x,y\n")
-        for pid, p in enumerate(paths):
-            for step, (x, y) in enumerate(p.vertices):
-                f.write(f"{pid},{step},{_fmt(x)},{_fmt(y)}\n")
+        for i, k, (x, y) in zip(pid.tolist(), step.tolist(),
+                                paths.vertices.tolist()):
+            f.write(f"{i},{k},{_fmt(x)},{_fmt(y)}\n")
 
 
 def write_field_csv(path, fld: GridField):
@@ -136,7 +138,10 @@ def _load_model(args) -> FilamentModel:
     p = Path(args.model_json)
     if not p.exists():
         raise UsageError(f"model file not found: {p}")
-    return FilamentModel.load(p)
+    try:
+        return FilamentModel.load(p)
+    except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError too
+        raise DataError(f"{p}: not a valid model ({type(e).__name__}: {e})")
 
 
 # -- commands -----------------------------------------------------------------
@@ -236,20 +241,17 @@ def cmd_estimate(args) -> int:
     else:
         raise UsageError(f"unknown tracer {args.tracer!r}")
 
-    ensemble = PathEnsemble(paths)
-    fld = path_density_field(ensemble, kernel, nu, grid,
+    fld = path_density_field(paths, kernel, nu, grid,
                              workers=worker_count(args.workers))
     lam = quantile_threshold(fld, cloud, args.quantile)
     mask_set = level_set(fld, lam)
 
-    trims = [p.trim_hint if trim is None else trim for p in paths]
     write_paths_csv(out / "paths.csv", paths)
     write_field_csv(out / "field.csv", fld)
     write_mask_csv(out / "levelset.csv", mask_set.mask, grid)
     svg = render_four_panel_svg(
-        cloud.points,
-        [p.vertices for p in paths],
-        [trimmed_vertices(p, t) for p, t in zip(paths, trims)],
+        cloud.points, paths,
+        paths.trimmed(paths.trim_hint if trim is None else trim),
         mask_set.mask, grid, bounds,
     )
     with open(out / "figure.svg", "w", encoding="utf-8") as f:

@@ -43,15 +43,13 @@ def _scatter(tr, points, color, r=1.6):
 
 
 def _polylines(tr, paths, color, width=0.6):
-    out = []
-    for verts in paths:
-        if len(verts) < 2:
-            continue
-        px, py = tr.to_px(verts[:, 0], verts[:, 1])
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(px, py))
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                   f'stroke-width="{width}"/>')
-    return "".join(out)
+    px, py = tr.to_px(paths.vertices[:, 0], paths.vertices[:, 1])
+    xy = [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(px.tolist(), py.tolist())]
+    offs = paths.vertex_offsets.tolist()
+    return "".join(
+        f'<polyline points="{" ".join(xy[lo:hi])}" fill="none" '
+        f'stroke="{color}" stroke-width="{width}"/>'
+        for lo, hi in zip(offs[:-1], offs[1:]) if hi - lo >= 2)
 
 
 def _mask_rects(tr, mask, grid: GridSpec, color):

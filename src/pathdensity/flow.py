@@ -12,6 +12,7 @@ import numpy as np
 from .geometry import as_points
 from .kernels import (KernelSpec, PointCloud, _kde_derivatives, _kde_terms,
                       _weight_sums)
+from .path_density import PathEnsemble
 
 
 class ScalarField(Protocol):
@@ -67,31 +68,6 @@ def kde_flow_config(cloud: PointCloud, kernel: KernelSpec, h: float,
     return FlowConfig(**base)
 
 
-@dataclass
-class AscentPath:
-    """A discretized ascent trajectory with step metadata.
-
-    times holds the accumulated flow time per vertex (iteration index for
-    mean-shift paths). trim_hint is the first vertex whose field value has
-    gained a configured fraction of the path's total value gain.
-    """
-
-    vertices: np.ndarray
-    times: np.ndarray
-    step_count: int
-    terminal_gradient_norm: float
-    converged: bool
-    trim_hint: int
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.vertices[-1]
-
-
 @dataclass(frozen=True)
 class CriticalPoint:
     location: np.ndarray
@@ -100,7 +76,7 @@ class CriticalPoint:
 
 
 class _Recorder:
-    """Per-step arrays of every moved path, sorted into paths once at the end.
+    """Per-step arrays of every moved path, sorted into an ensemble at the end.
 
     Holds the arrays it is given (callers pass fresh ones). A tracer marks
     the paths whose last step failed to ascend in `stalled`; build() calls a
@@ -118,7 +94,7 @@ class _Recorder:
         self.times.append(t)
         self.values.append(val)
 
-    def build(self, active, terminal_gnorm, trim_fraction) -> list[AscentPath]:
+    def build(self, active, terminal_gnorm, trim_fraction) -> PathEnsemble:
         # Monte-Carlo batches are large: free each list once it is flat
         ids = np.concatenate(self.ids)
         self.ids.clear()
@@ -143,13 +119,8 @@ class _Recorder:
         hint = np.minimum.reduceat(hit, first) - first
         hint[(gain <= 0) | (hint >= counts)] = 0
 
-        converged = ~active & ~self.stalled
-        return [AscentPath(vertices=verts[lo:hi], times=times[lo:hi],
-                           step_count=int(hi - lo - 1),
-                           terminal_gradient_norm=float(g),
-                           converged=bool(c), trim_hint=int(k))
-                for lo, hi, g, c, k in zip(first, ends, terminal_gnorm,
-                                           converged, hint)]
+        return PathEnsemble(verts, np.concatenate([[0], ends]), times,
+                            ~active & ~self.stalled, hint, terminal_gnorm)
 
 
 def _refine_cap(pos, refine_disks):
@@ -164,7 +135,7 @@ def _refine_cap(pos, refine_disks):
 
 
 def trace_ascent_paths(field: ScalarField, starts, cfg: FlowConfig,
-                       refine_disks=None) -> list[AscentPath]:
+                       refine_disks=None) -> PathEnsemble:
     """Trace the gradient flow of `field` forward from each start.
 
     Classic RK4 on dx/dt = grad(x) with per-path adaptive time steps; a step
@@ -252,13 +223,8 @@ def trace_ascent_paths(field: ScalarField, starts, cfg: FlowConfig,
     return rec.build(active, gnorm, cfg.trim_fraction)
 
 
-def trace_ascent_path(field: ScalarField, x0, cfg: FlowConfig,
-                      refine_disks=None) -> AscentPath:
-    return trace_ascent_paths(field, [x0], cfg, refine_disks=refine_disks)[0]
-
-
 def mean_shift_paths(cloud: PointCloud, kernel: KernelSpec, h: float,
-                     starts, cfg: FlowConfig) -> list[AscentPath]:
+                     starts, cfg: FlowConfig) -> PathEnsemble:
     """Kernel-weighted-mean iteration from each start, recorded as paths.
 
     Each iterate moves to the kernel-weighted mean of the data; the sequence
@@ -297,11 +263,6 @@ def mean_shift_paths(cloud: PointCloud, kernel: KernelSpec, h: float,
     rec.record(np.arange(m), pos, t, val)
     gnorm = np.hypot(grad[:, 0], grad[:, 1])
     return rec.build(active, gnorm, cfg.trim_fraction)
-
-
-def mean_shift_path(cloud: PointCloud, kernel: KernelSpec, h: float, x0,
-                    cfg: FlowConfig) -> AscentPath:
-    return mean_shift_paths(cloud, kernel, h, [x0], cfg)[0]
 
 
 def classify_critical_point(hessian, degeneracy_tol: float) -> str:

@@ -65,8 +65,7 @@ def sample_and_trace(field, sampler: FilamentModel, n_mc: int,
     if cfg is None:
         cfg = model_flow_config(sampler)
     cloud = sampler.sample(n_mc, rng)
-    return PathEnsemble(trace_ascent_paths(field, cloud.points, cfg,
-                                           refine_disks=refine_disks))
+    return trace_ascent_paths(field, cloud.points, cfg, refine_disks=refine_disks)
 
 
 def ball_hit_estimate(segs: PathEnsemble, center, r: float) -> PathMeasureEstimate:
@@ -128,7 +127,10 @@ def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
     """Per-node counts of paths passing within each radius.
 
     Returns an int array of shape (len(radii), nx, ny); each path is counted
-    at most once per node. Costs O(total segments x local stencil).
+    at most once per node. Costs O(total segments x local stencil): whole
+    paths are taken in blocks of about 6e4 (segment, stencil node) pairs, and
+    each hit is keyed path * n_nodes + node so that np.unique drops a
+    path's repeat hits on a node.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     rmax = radii[-1]
@@ -143,12 +145,18 @@ def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
     offs_x = offs_x.ravel()
     offs_y = offs_y.ravel()
 
-    counts = np.zeros((len(radii), grid.nx, grid.ny), dtype=np.int64)
+    n_nodes = grid.nx * grid.ny
+    counts = np.zeros((len(radii), n_nodes), dtype=np.int64)
     xs0, ys0 = grid.xmin, grid.ymin
     dx, dy = grid.dx, grid.dy
+    per_block = max(1, 60_000 // len(offs_x))  # segments; memory stays small
 
-    for i in range(segs.n_paths):
-        lo, hi = segs.offsets[i], segs.offsets[i + 1]
+    p = 0
+    while p < segs.n_paths:
+        # whole paths only, so that a path's hits are deduplicated together
+        lo = segs.offsets[p]
+        q = max(p + 1, np.searchsorted(segs.offsets, lo + per_block, "right") - 1)
+        hi = segs.offsets[q]
         a = segs.seg_a[lo:hi]
         b = segs.seg_b[lo:hi]
         mid = 0.5 * (a + b)
@@ -157,17 +165,15 @@ def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
         ii = bi[:, None] + offs_x[None, :]
         jj = bj[:, None] + offs_y[None, :]
         ok = (ii >= 0) & (ii < grid.nx) & (jj >= 0) & (jj < grid.ny)
-        if not ok.any():
-            continue
         nodes = np.stack([xs0 + ii * dx, ys0 + jj * dy], axis=-1)
         dist = segment_distances(nodes, a[:, None], b[:, None])  # (segments, stencil)
-        flat = ii * grid.ny + jj
+        path = np.repeat(np.arange(p, q), np.diff(segs.offsets[p:q + 1]))
+        keys = path[:, None] * n_nodes + (ii * grid.ny + jj)
         for k, r in enumerate(radii):
-            sel = ok & (dist <= r)
-            if sel.any():
-                nodes = np.unique(flat[sel])
-                counts[k].ravel()[nodes] += 1
-    return counts
+            hits = np.unique(keys[ok & (dist <= r)]) % n_nodes
+            counts[k] += np.bincount(hits, minlength=n_nodes)
+        p = q
+    return counts.reshape(len(radii), grid.nx, grid.ny)
 
 
 def oracle_field(field, sampler: FilamentModel, grid: GridSpec, n_mc: int,
@@ -202,14 +208,14 @@ def oracle_field(field, sampler: FilamentModel, grid: GridSpec, n_mc: int,
     return GridField(spec=grid, values=values, saturated=saturated)
 
 
-def true_path_ensemble(cloud: PointCloud, field, cfg: FlowConfig | None = None,
-                       trim: int = 0) -> PathEnsemble:
+def true_path_ensemble(cloud: PointCloud, field,
+                       cfg: FlowConfig | None = None) -> PathEnsemble:
     """Ascent paths of the data points traced on the true field."""
     if cfg is None and isinstance(field, FilamentModel):
         cfg = model_flow_config(field)
     if cfg is None:
         raise ValueError("cfg required for non-model fields")
-    return PathEnsemble(trace_ascent_paths(field, cloud.points, cfg), trim=trim)
+    return trace_ascent_paths(field, cloud.points, cfg)
 
 
 def estimate_with_true_paths(cloud: PointCloud, field, kernel: KernelSpec,
@@ -316,8 +322,7 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
             bw = default_bandwidths(cloud.n, cloud.spread, c_h=c_h, c_nu=c_nu)
             nu_max = max(nu_max, bw.nu)
             cfg = kde_flow_config(cloud, kernel, bw.h)
-            paths = mean_shift_paths(cloud, kernel, bw.h, cloud.points, cfg)
-            ensemble = PathEnsemble(paths)
+            ensemble = mean_shift_paths(cloud, kernel, bw.h, cloud.points, cfg)
             est = estimate_path_density(ensemble, kernel, bw.nu, nodes)
             runs.append((int(n), rep, est))
 

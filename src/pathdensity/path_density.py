@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import AscentPath
 from .geometry import as_points, segment_distances
 from .grids import GridField, GridSpec
 from .kernels import KernelSpec
@@ -44,53 +43,91 @@ def default_bandwidths(n: int, spread: float, c_h: float = 0.125,
                          source=f"rate-optimal(c_h={c_h}, c_nu={c_nu})")
 
 
-def trimmed_vertices(path: AscentPath, trim: int) -> np.ndarray:
-    """Vertices after dropping the first `trim`; never fewer than the last one."""
-    if trim <= 0:
-        return path.vertices
-    if trim >= len(path.vertices):
-        return path.vertices[-1:]
-    return path.vertices[trim:]
+@dataclass(frozen=True)
+class AscentPath:
+    """One path of a PathEnsemble; vertices and times are views of its arrays.
 
+    times holds the accumulated flow time per vertex (iteration index for
+    mean-shift paths). trim_hint is the first vertex whose field value has
+    gained a configured fraction of the path's total value gain.
+    """
 
-def distance_to_path(x, path: AscentPath, trim: int = 0) -> float:
-    """Exact minimum distance from x to the (trimmed) path polyline."""
-    d = PathEnsemble([path], trim).distances(x)[:, 0]
-    return float(d[0]) if np.ndim(x) == 1 else d
+    vertices: np.ndarray
+    times: np.ndarray
+    terminal_gradient_norm: float
+    converged: bool
+    trim_hint: int
+
+    @property
+    def step_count(self) -> int:
+        return len(self.vertices) - 1
+
+    @property
+    def start(self) -> np.ndarray:
+        return self.vertices[0]
+
+    @property
+    def end(self) -> np.ndarray:
+        return self.vertices[-1]
 
 
 _PAIR_BLOCK = 4_000_000
 
 
 class PathEnsemble:
-    """A bundle of traced paths, one per data point, with a shared trim."""
+    """A bundle of traced paths in flat arrays, one path per start point.
 
-    def __init__(self, paths: list[AscentPath], trim: int = 0):
-        if not paths:
+    Path i owns rows vertex_offsets[i]:vertex_offsets[i + 1] of `vertices`
+    and `times`, and entry i of `converged` (stopped on a tolerance test),
+    `trim_hint` and `terminal_gradient_norm`. Its segments are rows
+    offsets[i]:offsets[i + 1] of seg_a -> seg_b: consecutive vertices, or
+    one zero-length segment when the path has a single vertex.
+    """
+
+    def __init__(self, vertices, vertex_offsets, times, converged, trim_hint,
+                 terminal_gradient_norm):
+        if len(vertex_offsets) < 2:
             raise ValueError("ensemble needs at least one path")
-        self.paths = list(paths)
-        self.trim = int(trim)
-        self._build_segments()
-
-    def _build_segments(self):
-        # consecutive vertices of each path; a single-vertex path keeps one
-        # zero-length segment so that every path has at least one
-        verts = [trimmed_vertices(p, self.trim) for p in self.paths]
-        counts = np.array([len(v) for v in verts])
-        flat = np.concatenate(verts)
-        ends = np.cumsum(counts)
+        self.vertices = vertices
+        self.vertex_offsets = vertex_offsets
+        self.times = times
+        self.converged = converged
+        self.trim_hint = trim_hint
+        self.terminal_gradient_norm = terminal_gradient_norm
+        counts = np.diff(vertex_offsets)
+        ends = vertex_offsets[1:]
         single = counts == 1
-        keep_a = np.ones(len(flat), dtype=bool)
+        keep_a = np.ones(len(vertices), dtype=bool)
         keep_a[ends - 1] = single
-        keep_b = np.ones(len(flat), dtype=bool)
+        keep_b = np.ones(len(vertices), dtype=bool)
         keep_b[ends - counts] = single
-        self.seg_a = flat[keep_a]
-        self.seg_b = flat[keep_b]
+        self.seg_a = vertices[keep_a]
+        self.seg_b = vertices[keep_b]
         self.offsets = np.concatenate([[0], np.cumsum(np.maximum(counts - 1, 1))])
 
     @property
     def n_paths(self) -> int:
-        return len(self.paths)
+        return len(self.vertex_offsets) - 1
+
+    def __getitem__(self, i) -> AscentPath:
+        i = range(self.n_paths)[i]
+        lo, hi = self.vertex_offsets[i], self.vertex_offsets[i + 1]
+        return AscentPath(self.vertices[lo:hi], self.times[lo:hi],
+                          float(self.terminal_gradient_norm[i]),
+                          bool(self.converged[i]), int(self.trim_hint[i]))
+
+    def trimmed(self, trims) -> "PathEnsemble":
+        """The paths without their first trims[i] vertices (a scalar trims
+        every path alike); each path keeps at least its last vertex."""
+        counts = np.diff(self.vertex_offsets)
+        drop = np.clip(trims, 0, counts - 1)
+        rank = np.arange(len(self.vertices)) - np.repeat(self.vertex_offsets[:-1], counts)
+        keep = rank >= np.repeat(drop, counts)
+        return PathEnsemble(self.vertices[keep],
+                            np.concatenate([[0], np.cumsum(counts - drop)]),
+                            self.times[keep], self.converged,
+                            np.maximum(self.trim_hint - drop, 0),
+                            self.terminal_gradient_norm)
 
     def distances(self, points) -> np.ndarray:
         """Per-path min distance for each point: shape (m, n_paths).
@@ -126,16 +163,10 @@ def estimate_path_density(ensemble: PathEnsemble, kernel: KernelSpec,
 def path_density_field(ensemble: PathEnsemble, kernel: KernelSpec, nu: float,
                        grid: GridSpec, workers: int | None = None) -> GridField:
     """The path-density estimate rasterized over every grid node."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
     nodes = grid.nodes()
     chunk = 1024  # fixed: output must not depend on the worker count
     blocks = [nodes[s:s + chunk] for s in range(0, len(nodes), chunk)]
-
-    def job(block):
-        d = ensemble.distances(block)
-        return kernel.raw(d / nu).mean(axis=1) / nu
-
-    parts = map_indexed(job, blocks, workers=workers)
+    parts = map_indexed(lambda b: estimate_path_density(ensemble, kernel, nu, b),
+                        blocks, workers=workers)
     values = np.concatenate(parts).reshape(grid.nx, grid.ny)
     return GridField(spec=grid, values=values)

@@ -5,6 +5,7 @@ import pytest
 
 from pathdensity.kernels import KernelSpec, PointCloud
 from pathdensity.oracle import point_density_terms
+from pathdensity.path_density import PathEnsemble
 
 
 class QuadraticPeakField:
@@ -15,6 +16,19 @@ class QuadraticPeakField:
         terms = (-0.5 * (x**2).sum(axis=1), -x.copy(),
                  np.broadcast_to(-np.eye(2), (len(x), 2, 2)).copy())
         return terms[:order + 1]
+
+
+def polyline_ensemble(polylines) -> PathEnsemble:
+    """An ensemble of the given vertex arrays, one path each; times count
+    vertices, and every path reads converged with trim hint 0."""
+    polylines = [np.asarray(v, dtype=float).reshape(-1, 2) for v in polylines]
+    counts = np.array([len(v) for v in polylines], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    n = len(polylines)
+    vertices = np.concatenate(polylines) if n else np.empty((0, 2))
+    times = np.arange(len(vertices), dtype=float) - np.repeat(offsets[:-1], counts)
+    return PathEnsemble(vertices, offsets, times, np.ones(n, dtype=bool),
+                        np.zeros(n, dtype=np.int64), np.zeros(n))
 
 
 def fd_gradient(value_fn, x, step):

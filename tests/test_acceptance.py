@@ -34,7 +34,7 @@ from pathdensity.model import (FilamentModel, cluster_model,
 from pathdensity.oracle import (convergence_experiment, model_flow_config,
                                 oracle_field, point_density_estimate,
                                 sample_and_trace)
-from pathdensity.path_density import (PathEnsemble, default_bandwidths,
+from pathdensity.path_density import (default_bandwidths,
                                       estimate_path_density,
                                       path_density_field)
 
@@ -359,7 +359,7 @@ def test_criterion_9_levelset_distance_trend(pentagon, pentagon_segs):
             cfg = kde_flow_config(cloud, KERNEL, bw.h,
                                   min_displacement=1e-3 * bw.h)
             paths = mean_shift_paths(cloud, KERNEL, bw.h, cloud.points, cfg)
-            fld = path_density_field(PathEnsemble(paths), KERNEL, bw.nu, grid)
+            fld = path_density_field(paths, KERNEL, bw.nu, grid)
             est_set = level_set(fld, quantile_threshold(fld, cloud, q))
             ds.append(set_distance_consistency(true_set, est_set))
         medians[n] = float(np.median(ds))

@@ -236,6 +236,36 @@ def test_bad_flag_exit_codes(two_gaussian_json, tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_CLUSTER = {"center": [0.0, 0.0], "sigma": 0.5, "weight": 1.0}
+INVALID_MODELS = {
+    "not-json": "{ not json",
+    "no-box": json.dumps({"version": 1, "clusters": [_CLUSTER]}),
+    "weights": json.dumps({"version": 1, "box": [-2, 2, -2, 2],
+                           "background_weight": 0.5,
+                           "clusters": [{**_CLUSTER, "weight": 0.2}]}),
+    "self-intersecting": json.dumps({
+        "version": 1, "box": [-1, 2, -1, 2],
+        "filaments": [{"vertices": [[0, 0], [1, 1], [1, 0], [0, 1]],
+                       "sigma": 0.05, "weight": 1.0}]}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INVALID_MODELS))
+@pytest.mark.parametrize("argv", [
+    ["oracle"],
+    ["converge", "--n", "50,100", "--reps", "1", *FAST_CONVERGE],
+    ["simulate", "--n", "10"],
+], ids=["oracle", "converge", "simulate"])
+def test_invalid_model_file_exits_3(tmp_path, capsys, argv, kind):
+    bad = tmp_path / "model.json"
+    bad.write_text(INVALID_MODELS[kind])
+    assert run(*argv, "--model-json", str(bad), "--seed", "1",
+               "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert len(err.splitlines()) == 1
+
+
 # -- oracle -------------------------------------------------------------------
 
 def test_oracle_requires_model(tmp_path):

@@ -4,13 +4,11 @@ from scipy.optimize import brentq
 
 from pathdensity.flow import (FlowConfig, MeanShiftUnderflowError,
                               classify_critical_point, find_critical_points,
-                              kde_flow_config, mean_shift_path,
-                              mean_shift_paths, trace_ascent_path,
+                              kde_flow_config, mean_shift_paths,
                               trace_ascent_paths)
 from pathdensity.geometry import convex_hull_contains
 from pathdensity.kernels import KernelSpec, PointCloud
 from pathdensity.model import cluster_model, random_pentagon_model, two_gaussian_model
-from pathdensity.path_density import PathEnsemble
 
 from conftest import QuadraticPeakField
 
@@ -32,15 +30,15 @@ def test_quadratic_flow_matches_closed_form():
 
 
 def test_start_at_mode_gives_single_vertex():
-    p = trace_ascent_path(QuadraticPeakField(), [0.0, 0.0], QUAD_CFG)
+    p = trace_ascent_paths(QuadraticPeakField(), [[0.0, 0.0]], QUAD_CFG)[0]
     assert len(p.vertices) == 1
     assert p.converged
     assert p.step_count == 0
 
 
 def test_retrace_from_endpoint_is_idempotent():
-    p = trace_ascent_path(QuadraticPeakField(), [2.0, -1.0], QUAD_CFG)
-    again = trace_ascent_path(QuadraticPeakField(), p.end, QUAD_CFG)
+    p = trace_ascent_paths(QuadraticPeakField(), [[2.0, -1.0]], QUAD_CFG)[0]
+    again = trace_ascent_paths(QuadraticPeakField(), [p.end], QUAD_CFG)[0]
     assert len(again.vertices) == 1
 
 
@@ -48,7 +46,7 @@ def test_single_gaussian_paths_are_radial():
     model = cluster_model([(0.4, -0.2)], 0.7, (-3, 3, -3, 3))
     cfg = FlowConfig(step_scale=0.1, grad_tolerance=1e-9, min_displacement=1e-12)
     for x0 in ([2.0, 1.0], [-1.0, 0.5], [0.9, -1.7]):
-        p = trace_ascent_path(model, x0, cfg)
+        p = trace_ascent_paths(model, [x0], cfg)[0]
         ray = np.asarray(x0) - np.array([0.4, -0.2])
         rel = p.vertices - np.array([0.4, -0.2])
         cross = np.abs(rel[:, 0] * ray[1] - rel[:, 1] * ray[0])
@@ -58,7 +56,7 @@ def test_single_gaussian_paths_are_radial():
 def test_field_value_nondecreasing_along_path():
     model = two_gaussian_model()
     cfg = FlowConfig(step_scale=0.1, grad_tolerance=1e-8, min_displacement=1e-12)
-    p = trace_ascent_path(model, [0.3, 1.8], cfg)
+    p = trace_ascent_paths(model, [[0.3, 1.8]], cfg)[0]
     vals = model.value(p.vertices)
     assert np.all(np.diff(vals) >= -1e-12)
 
@@ -66,7 +64,7 @@ def test_field_value_nondecreasing_along_path():
 def test_trim_hint_marks_early_transient():
     model = two_gaussian_model()
     cfg = FlowConfig(step_scale=0.05, grad_tolerance=1e-8, min_displacement=1e-12)
-    p = trace_ascent_path(model, [2.5, 1.5], cfg)
+    p = trace_ascent_paths(model, [[2.5, 1.5]], cfg)[0]
     assert 0 < p.trim_hint < len(p.vertices)
     vals = model.value(p.vertices)
     gain = vals[-1] - vals[0]
@@ -77,20 +75,19 @@ def test_trim_hint_marks_early_transient():
 def test_segment_mode_matches_path_mode():
     field = QuadraticPeakField()
     starts = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 0.0]])
-    paths = trace_ascent_paths(field, starts, QUAD_CFG)
-    segs = PathEnsemble(paths)
+    segs = trace_ascent_paths(field, starts, QUAD_CFG)
     assert segs.n_paths == 3
     np.testing.assert_allclose(segs.seg_b[segs.offsets[1:] - 1],
-                               [p.end for p in paths], atol=1e-12)
+                               [p.end for p in segs], atol=1e-12)
     # per-path segment counts agree with vertex counts (degenerate path keeps 1)
     counts = np.diff(segs.offsets)
     assert counts[2] == 1
-    assert counts[0] == len(paths[0].vertices) - 1
+    assert counts[0] == len(segs[0].vertices) - 1
 
 
 def test_min_distances_on_segments():
     field = QuadraticPeakField()
-    segs = PathEnsemble(trace_ascent_paths(field, [[2.0, 0.0], [0.0, 3.0]], QUAD_CFG))
+    segs = trace_ascent_paths(field, [[2.0, 0.0], [0.0, 3.0]], QUAD_CFG)
     md = segs.distances([1.0, 0.0])[0]
     assert md[0] == pytest.approx(0.0, abs=1e-6)   # path runs through (1, 0)
     assert md[1] == pytest.approx(1.0, abs=1e-5)   # vertical path, distance 1
@@ -101,7 +98,7 @@ def test_min_distances_on_segments():
 def test_mean_shift_single_point_converges_in_one_step(gaussian_kernel):
     cloud = PointCloud(np.array([[0.7, -0.3]]))
     cfg = FlowConfig(step_scale=1.0, grad_tolerance=1e-9, min_displacement=1e-10)
-    p = mean_shift_path(cloud, gaussian_kernel, 0.5, [5.0, 5.0], cfg)
+    p = mean_shift_paths(cloud, gaussian_kernel, 0.5, [[5.0, 5.0]], cfg)[0]
     np.testing.assert_allclose(p.vertices[1], [0.7, -0.3], rtol=4e-16)
     assert p.converged
 
@@ -110,7 +107,7 @@ def test_mean_shift_symmetric_pair_stays_on_axis(gaussian_kernel):
     cloud = PointCloud(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     cfg = FlowConfig(step_scale=1.0, grad_tolerance=1e-7, min_displacement=1e-12,
                      max_steps=200)
-    p = mean_shift_path(cloud, gaussian_kernel, 1.0, [0.0, 0.3], cfg)
+    p = mean_shift_paths(cloud, gaussian_kernel, 1.0, [[0.0, 0.3]], cfg)[0]
     assert np.max(np.abs(p.vertices[:, 0])) < 1e-12
 
 
@@ -118,7 +115,7 @@ def test_mean_shift_underflow_raises(gaussian_kernel):
     cloud = PointCloud(np.array([[0.0, 0.0]]))
     cfg = FlowConfig(step_scale=1.0, grad_tolerance=1e-9, min_displacement=1e-10)
     with pytest.raises(MeanShiftUnderflowError):
-        mean_shift_path(cloud, gaussian_kernel, 0.1, [500.0, 0.0], cfg)
+        mean_shift_paths(cloud, gaussian_kernel, 0.1, [[500.0, 0.0]], cfg)
 
 
 def test_mean_shift_pentagon_terminals_are_modes(gaussian_kernel):
@@ -140,8 +137,8 @@ def test_mean_shift_and_flow_reach_the_same_mode(gaussian_kernel):
     cfg = kde_flow_config(cloud, gaussian_kernel, h, min_displacement=1e-10)
     field = KernelDensityField(cloud, gaussian_kernel, h)
     for x0 in cloud.points[[3, 40, 77]]:
-        ms = mean_shift_path(cloud, gaussian_kernel, h, x0, cfg)
-        ode = trace_ascent_path(field, x0, cfg)
+        ms = mean_shift_paths(cloud, gaussian_kernel, h, [x0], cfg)[0]
+        ode = trace_ascent_paths(field, [x0], cfg)[0]
         assert np.hypot(*(ms.end - ode.end)) < 1e-3 * h
 
 
@@ -198,7 +195,7 @@ def test_mean_shift_ascends_kde(gaussian_kernel):
 
     model, cloud = random_pentagon_model(np.random.default_rng(4), n=150)
     cfg = FlowConfig(step_scale=1.0, grad_tolerance=1e-7, min_displacement=1e-9)
-    p = mean_shift_path(cloud, gaussian_kernel, 0.1, cloud.points[17], cfg)
+    p = mean_shift_paths(cloud, gaussian_kernel, 0.1, [cloud.points[17]], cfg)[0]
     vals = kde_density(cloud, gaussian_kernel, 0.1, p.vertices)
     assert np.all(np.diff(vals) >= -1e-12)
 

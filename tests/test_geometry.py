@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathdensity.flow import AscentPath
 from pathdensity.geometry import (polyline_arclength, polyline_self_intersects,
                                   segment_distances)
-from pathdensity.path_density import distance_to_path
+
+from conftest import polyline_ensemble
 
 coord = st.floats(-50, 50, allow_nan=False)
 
@@ -42,22 +42,16 @@ def test_segment_distance_bounded_by_endpoint_distances(px, py, ax, ay, bx, by):
     assert d >= 0.0
 
 
-def polyline(vertices):
-    v = np.asarray(vertices, dtype=float)
-    return AscentPath(vertices=v, times=np.arange(len(v), dtype=float),
-                      step_count=len(v) - 1, terminal_gradient_norm=0.0,
-                      converged=True, trim_hint=0)
-
-
 def test_polyline_min_distance_single_vertex():
-    d = distance_to_path([3.0, 4.0], polyline([[0.0, 0.0]]))
+    d = polyline_ensemble([[[0.0, 0.0]]]).distances([3.0, 4.0])[0, 0]
     assert d == pytest.approx(5.0)
 
 
 def test_polyline_vertex_containment():
     poly = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     for v in poly:
-        assert distance_to_path(v, polyline(poly)) == pytest.approx(0.0, abs=1e-15)
+        d = polyline_ensemble([poly]).distances(v)[0, 0]
+        assert d == pytest.approx(0.0, abs=1e-15)
 
 
 def test_arclength_cumulative():

@@ -1,7 +1,7 @@
 """Golden sha256 digests of CLI outputs for fixed seeds.
 
-These pin the output bytes of `estimate` (mean shift and RK4 flow tracer) and
-`oracle` at small sizes, so that a refactor which should not change results
+These pin the output bytes of `estimate` (mean shift and RK4 flow tracer),
+`oracle` and `converge` at small sizes, so that a refactor which should not change results
 is checked byte for byte. The digests are tied to the numpy, scipy and
 OpenBLAS builds they were computed with (numpy 2.4.6, scipy 1.17.1, OpenBLAS
 0.3.31 as bundled with numpy, Python 3.11.7, x86-64): another build may round
@@ -44,6 +44,12 @@ GOLDEN = {
         "critical_points.csv":
             "621daef8844c126fd77ca55071a318951372c98f9df9e2e7ef0a953cb8fc2af3",
     },
+    "converge": {
+        "rate_table.csv":
+            "efc3ba0d0bbfbe635ec8421eb07ef0158b3888196104ac9a38d22a40a153f7ef",
+        "rate_summary.json":
+            "6a7d11ea1b90cf621a8e63dabcbf2ab38b74488aad8be817ad2308dad76b028f",
+    },
 }
 
 
@@ -75,3 +81,12 @@ def test_oracle_digests(tmp_path):
     assert main(["oracle", "--model-json", str(sim / "model.json"), "--out",
                  str(out), "--n-mc", "400", "--grid", "32", "--seed", "3"]) == 0
     assert digests(out, GOLDEN["oracle"]) == GOLDEN["oracle"]
+
+
+def test_converge_digests(tmp_path):
+    # mean shift, the ensemble, the point estimator and path_hit_counts
+    assert main(["converge", "--model", "two-gaussian", "--n", "60,120",
+                 "--reps", "2", "--probes", "10", "--oracle-n-mc", "400",
+                 "--oracle-r1", "0.05", "--seed", "3", "--out",
+                 str(tmp_path)]) == 0
+    assert digests(tmp_path, GOLDEN["converge"]) == GOLDEN["converge"]

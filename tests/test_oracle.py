@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pathdensity.flow import AscentPath, FlowConfig, find_critical_points
+from pathdensity.flow import FlowConfig, find_critical_points
 from pathdensity.grids import GridSpec
 from pathdensity.kernels import KernelSpec, PointCloud
 from pathdensity.model import cluster_model, two_gaussian_model
@@ -11,9 +11,9 @@ from pathdensity.oracle import (ball_hit_estimate, convergence_experiment,
                                 path_hit_counts, path_measure,
                                 point_density_estimate, sample_and_trace,
                                 true_path_ensemble)
-from pathdensity.path_density import PathEnsemble, estimate_path_density
+from pathdensity.path_density import estimate_path_density
 
-from conftest import saddle_four_sum
+from conftest import polyline_ensemble, saddle_four_sum
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +179,6 @@ def test_coarse_kde_paths_track_true_paths_better_than_fine():
     # with n fixed at desk scale, shrinking h inflates the field-estimation
     # error, so the coarse-h estimator sits closer to the true-path estimator
     from pathdensity.flow import kde_flow_config, mean_shift_paths
-    from pathdensity.path_density import PathEnsemble
 
     model = two_gaussian_model()
     kernel = KernelSpec()
@@ -194,7 +193,7 @@ def test_coarse_kde_paths_track_true_paths_better_than_fine():
         for h in (0.4, 0.1):
             cfg = kde_flow_config(cloud, kernel, h)
             paths = mean_shift_paths(cloud, kernel, h, cloud.points, cfg)
-            est = estimate_path_density(PathEnsemble(paths), kernel, nu, probes)
+            est = estimate_path_density(paths, kernel, nu, probes)
             gaps.setdefault(h, []).append(np.median(np.abs(est - pstar)))
     assert np.median(gaps[0.4]) < np.median(gaps[0.1])
 
@@ -223,10 +222,7 @@ def _linear_saddle_batch(n, rng, n_axis=0, half=0.5, dt=0.02):
     verts = np.concatenate([verts, np.column_stack([np.zeros(axis_y.size),
                                                     axis_y.ravel()])])
     polylines = np.split(verts, np.searchsorted(ids, np.arange(1, n + n_axis)))
-    return PathEnsemble([
-        AscentPath(vertices=v, times=dt * np.arange(len(v)), step_count=len(v) - 1,
-                   terminal_gradient_norm=0.0, converged=True, trim_hint=0)
-        for v in polylines])
+    return polyline_ensemble(polylines)
 
 
 def test_saddle_four_sum_check_rejects_paths_ending_at_saddle():

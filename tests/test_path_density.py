@@ -1,49 +1,53 @@
 import numpy as np
 import pytest
 
-from pathdensity.flow import AscentPath
 from pathdensity.grids import GridSpec
 from pathdensity.kernels import KernelSpec
-from pathdensity.path_density import (BandwidthPlan, PathEnsemble,
-                                      default_bandwidths, distance_to_path,
+from pathdensity.path_density import (BandwidthPlan, default_bandwidths,
                                       estimate_path_density,
                                       path_density_field)
 
+from conftest import polyline_ensemble
 
-def make_path(vertices):
-    v = np.asarray(vertices, dtype=float)
-    return AscentPath(vertices=v, times=np.arange(len(v), dtype=float),
-                      step_count=len(v) - 1, terminal_gradient_norm=0.0,
-                      converged=True, trim_hint=0)
+
+def distance_to_path(x, vertices):
+    return polyline_ensemble([vertices]).distances(x)[0, 0]
 
 
 def degenerate_ensemble(z, n=5):
-    return PathEnsemble([make_path([z]) for _ in range(n)])
+    return polyline_ensemble([[z]] * n)
 
 
 # -- distance to a path -------------------------------------------------------
 
 def test_distance_to_single_vertex_path():
-    p = make_path([[1.0, 2.0]])
-    assert distance_to_path([4.0, 6.0], p) == pytest.approx(5.0)
+    assert distance_to_path([4.0, 6.0], [[1.0, 2.0]]) == pytest.approx(5.0)
 
 
 def test_distance_zero_on_vertices():
-    p = make_path([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    for v in p.vertices:
+    p = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]
+    for v in p:
         assert distance_to_path(v, p) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_distance_perpendicular_foot():
-    p = make_path([[0.0, 0.0], [1.0, 0.0]])
+    p = [[0.0, 0.0], [1.0, 0.0]]
     assert distance_to_path([0.5, 1.0], p) == pytest.approx(1.0)
 
 
 def test_trim_reduces_to_terminal_vertex():
-    p = make_path([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    p = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+    ens = polyline_ensemble([p, p, p])
+    # per-path trims 0, 1 and beyond the path length
+    trimmed = ens.trimmed(np.array([0, 1, 10]))
+    np.testing.assert_array_equal(np.diff(trimmed.vertex_offsets), [3, 2, 1])
+    d = trimmed.distances([[0.0, 0.0], [0.0, 1.0]])
+    assert d[0, 0] == pytest.approx(0.0)
     # trim beyond the path length: only the last vertex remains
-    assert distance_to_path([0.0, 0.0], p, trim=10) == pytest.approx(2.0)
-    assert distance_to_path([0.0, 1.0], p, trim=1) == pytest.approx(np.hypot(1, 1))
+    assert d[0, 2] == pytest.approx(2.0)
+    assert d[1, 1] == pytest.approx(np.hypot(1, 1))
+    # a trim at the path length also keeps the last vertex
+    assert ens.trimmed(3).distances([0.0, 0.0])[0, 0] == pytest.approx(2.0)
 
 
 # -- estimator ----------------------------------------------------------------
@@ -67,19 +71,18 @@ def test_far_point_tail_bound(gaussian_kernel):
 
 def test_permutation_invariance(gaussian_kernel):
     rng = np.random.default_rng(8)
-    paths = [make_path(rng.standard_normal((5, 2)).cumsum(axis=0))
-             for _ in range(12)]
+    paths = [rng.standard_normal((5, 2)).cumsum(axis=0) for _ in range(12)]
     x = np.array([0.3, 0.3])
-    a = estimate_path_density(PathEnsemble(paths), gaussian_kernel, 0.2, x)
+    a = estimate_path_density(polyline_ensemble(paths), gaussian_kernel, 0.2, x)
     order = rng.permutation(len(paths))
-    b = estimate_path_density(PathEnsemble([paths[i] for i in order]),
+    b = estimate_path_density(polyline_ensemble([paths[i] for i in order]),
                               gaussian_kernel, 0.2, x)
     assert b == pytest.approx(a, rel=1e-13)
 
 
 def test_empty_ensemble_rejected():
     with pytest.raises(ValueError):
-        PathEnsemble([])
+        polyline_ensemble([])
 
 
 def test_nonpositive_nu_rejected(gaussian_kernel):
@@ -90,9 +93,8 @@ def test_nonpositive_nu_rejected(gaussian_kernel):
 
 def test_lipschitz_in_query_point(gaussian_kernel):
     rng = np.random.default_rng(3)
-    paths = [make_path(rng.standard_normal((6, 2)).cumsum(axis=0))
-             for _ in range(10)]
-    ens = PathEnsemble(paths)
+    ens = polyline_ensemble([rng.standard_normal((6, 2)).cumsum(axis=0)
+                             for _ in range(10)])
     nu = 0.25
     lip = np.exp(-0.5) / nu**2  # max |K'| / nu^2
     for _ in range(50):
@@ -118,9 +120,9 @@ def test_monotone_in_nu_at_far_point(gaussian_kernel):
 
 def test_nonnegative_everywhere(gaussian_kernel):
     rng = np.random.default_rng(12)
-    paths = [make_path(rng.standard_normal((4, 2))) for _ in range(6)]
+    paths = [rng.standard_normal((4, 2)) for _ in range(6)]
     pts = rng.uniform(-3, 3, (100, 2))
-    vals = estimate_path_density(PathEnsemble(paths), gaussian_kernel, 0.3, pts)
+    vals = estimate_path_density(polyline_ensemble(paths), gaussian_kernel, 0.3, pts)
     assert np.all(vals >= 0)
 
 
@@ -138,9 +140,8 @@ def test_field_max_at_node_nearest_shared_point(gaussian_kernel):
 
 def test_field_nodes_stable_under_refinement(gaussian_kernel):
     rng = np.random.default_rng(2)
-    paths = [make_path(rng.standard_normal((5, 2)).cumsum(axis=0) * 0.2 + 0.5)
-             for _ in range(8)]
-    ens = PathEnsemble(paths)
+    ens = polyline_ensemble([rng.standard_normal((5, 2)).cumsum(axis=0) * 0.2 + 0.5
+                             for _ in range(8)])
     coarse = GridSpec(0.0, 1.0, 0.0, 1.0, 11, 11)
     fine = GridSpec(0.0, 1.0, 0.0, 1.0, 21, 21)  # shares every coarse node
     f1 = path_density_field(ens, gaussian_kernel, 0.2, coarse)
@@ -150,8 +151,7 @@ def test_field_nodes_stable_under_refinement(gaussian_kernel):
 
 def test_field_worker_count_does_not_change_values(gaussian_kernel):
     rng = np.random.default_rng(6)
-    paths = [make_path(rng.standard_normal((5, 2))) for _ in range(7)]
-    ens = PathEnsemble(paths)
+    ens = polyline_ensemble([rng.standard_normal((5, 2)) for _ in range(7)])
     grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 40, 40)
     f1 = path_density_field(ens, gaussian_kernel, 0.3, grid, workers=1)
     f8 = path_density_field(ens, gaussian_kernel, 0.3, grid, workers=8)

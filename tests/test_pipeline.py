@@ -7,8 +7,7 @@ from pathdensity.grids import GridSpec
 from pathdensity.kernels import KernelSpec
 from pathdensity.levelset import level_set, quantile_threshold
 from pathdensity.model import random_pentagon_model
-from pathdensity.path_density import (PathEnsemble, default_bandwidths,
-                                      path_density_field)
+from pathdensity.path_density import default_bandwidths, path_density_field
 
 KERNEL = KernelSpec()
 
@@ -19,7 +18,7 @@ def test_pentagon_level_set_is_sparse_and_near_structure():
     cfg = kde_flow_config(cloud, KERNEL, bw.h, min_displacement=1e-3 * bw.h)
     paths = mean_shift_paths(cloud, KERNEL, bw.h, cloud.points, cfg)
     grid = GridSpec.from_bounds(cloud.bounds(margin=0.05), 60)
-    fld = path_density_field(PathEnsemble(paths), KERNEL, bw.nu, grid)
+    fld = path_density_field(paths, KERNEL, bw.nu, grid)
     lam = quantile_threshold(fld, cloud, 0.9)
     mask_set = level_set(fld, lam)
     assert not mask_set.is_empty
