@@ -231,6 +231,11 @@ def cmd_estimate(args) -> int:
 
     bounds = _parse_bounds(args.bounds) if args.bounds else cloud.bounds(margin=0.05)
     grid = _grid_spec(args, bounds)
+    x, y = cloud.points.T
+    outside = np.count_nonzero((x < grid.xmin) | (x > grid.xmax)
+                               | (y < grid.ymin) | (y > grid.ymax))
+    if outside:
+        raise UsageError(f"--bounds exclude {outside} of {cloud.n} data points")
     cfg = kde_flow_config(cloud, kernel, h)
 
     if args.tracer == "meanshift":

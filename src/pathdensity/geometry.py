@@ -1,5 +1,7 @@
 """Planar computational-geometry primitives: point/segment distances and polylines."""
 
+from typing import NamedTuple
+
 import numpy as np
 
 
@@ -13,29 +15,60 @@ def as_points(x) -> np.ndarray:
     return a
 
 
-def segment_distances(points, seg_a, seg_b) -> np.ndarray:
-    """Euclidean distance from points to segments seg_a -> seg_b.
+class Segments(NamedTuple):
+    """Segments a -> b with the constants of the point projection: start
+    (ax, ay), direction (dx, dy) and squared length len2. len2 is inf where
+    it would be 0 (a zero-length segment, or one so short that len2
+    underflows), so that the projection parameter comes out 0 there. Leading
+    axes broadcast against the query points."""
 
-    All three are (..., 2) arrays whose leading axes broadcast: points[:, None]
-    against (s, 2) endpoints gives an (m, s) result. Zero-length segments
-    degrade to point distances.
+    ax: np.ndarray
+    ay: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    len2: np.ndarray
+
+    @classmethod
+    def between(cls, seg_a, seg_b) -> "Segments":
+        """The segments seg_a -> seg_b, two (..., 2) endpoint arrays."""
+        seg_a = np.asarray(seg_a, dtype=float)
+        seg_b = np.asarray(seg_b, dtype=float)
+        # contiguous copies: a strided start more than doubles the time of px, py
+        ax = np.ascontiguousarray(seg_a[..., 0])
+        ay = np.ascontiguousarray(seg_a[..., 1])
+        dx = seg_b[..., 0] - ax
+        dy = seg_b[..., 1] - ay
+        len2 = dx * dx + dy * dy
+        return cls(ax, ay, dx, dy, np.where(len2 > 0.0, len2, np.inf))
+
+    def part(self, key) -> "Segments":
+        """The segments at index or slice `key` of the leading axis."""
+        return Segments(*(c[key] for c in self))
+
+
+def segment_distances(points, segments: Segments, squared: bool = False) -> np.ndarray:
+    """Euclidean distance from points to segments, or its square.
+
+    points is a (..., 2) array whose leading axes broadcast against the
+    segments': points[:, None] against (s,) segments gives an (m, s) result.
+    A zero-length segment gives the distance to its start. The square skips
+    the sqrt, which is monotone and correctly rounded, so the sqrt of a min
+    over squares equals the min over the distances bit for bit.
     """
     points = np.asarray(points, dtype=float)
-    seg_a = np.asarray(seg_a, dtype=float)
-    seg_b = np.asarray(seg_b, dtype=float)
-    ax, ay = seg_a[..., 0], seg_a[..., 1]
-    dx = seg_b[..., 0] - ax
-    dy = seg_b[..., 1] - ay
-    len2 = dx * dx + dy * dy
-    px = points[..., 0] - ax
-    py = points[..., 1] - ay
-    t = px * dx + py * dy
-    safe = np.where(len2 > 0.0, len2, 1.0)
-    t = np.clip(t / safe, 0.0, 1.0)
-    t = np.where(len2 > 0.0, t, 0.0)
-    cx = px - t * dx
-    cy = py - t * dy
-    return np.sqrt(cx * cx + cy * cy)
+    px = points[..., 0] - segments.ax
+    py = points[..., 1] - segments.ay
+    t = px * segments.dx
+    tmp = py * segments.dy
+    t += tmp
+    t /= segments.len2
+    np.clip(t, 0.0, 1.0, out=t)
+    px -= np.multiply(t, segments.dx, out=tmp)
+    py -= np.multiply(t, segments.dy, out=tmp)
+    px *= px
+    py *= py
+    px += py
+    return px if squared else np.sqrt(px, out=px)
 
 
 def polyline_arclength(vertices: np.ndarray) -> np.ndarray:
@@ -89,7 +122,8 @@ def convex_hull_contains(hull_points: np.ndarray, query: np.ndarray, tol: float 
     q = as_points(query)
     if len(hull_points) < 3:
         # degenerate hull: distance to the single point or the segment
-        return segment_distances(q, hull_points[0], hull_points[-1]) <= tol
+        ends = Segments.between(hull_points[0], hull_points[-1])
+        return segment_distances(q, ends) <= tol
     hull = ConvexHull(hull_points)
     # hull.equations: outward normals, A x + b <= 0 inside
     vals = q @ hull.equations[:, :2].T + hull.equations[:, 2][None, :]

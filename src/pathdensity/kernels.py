@@ -36,20 +36,19 @@ class KernelSpec:
         object.__setattr__(self, "normalizer", 1.0 / mass)
 
     def raw(self, t):
-        """Profile K(t); vectorized, no normalizer."""
+        """Profile K(t) for t >= 0; vectorized, no normalizer."""
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("kernel argument must be nonnegative")
+        return self.raw_unchecked(t)
+
+    def raw_unchecked(self, t: np.ndarray) -> np.ndarray:
+        """raw() without the sign check, for a float array that is
+        nonnegative by construction, such as a distance ratio."""
         v = np.exp(-0.5 * t * t)
         if self.profile == "truncated-gaussian":
             v = np.where(t <= self.cutoff, v, 0.0)
         return v
-
-
-def kernel_value(kernel: KernelSpec, t):
-    """Raw profile value K(t); scalar in, scalar out."""
-    out = kernel.raw(t)
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
 @dataclass(frozen=True)

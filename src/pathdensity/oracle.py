@@ -14,7 +14,7 @@ import numpy as np
 
 from .flow import (FlowConfig, find_critical_points, kde_flow_config,
                    mean_shift_paths, trace_ascent_paths)
-from .geometry import segment_distances
+from .geometry import Segments, segment_distances
 from .grids import GridField, GridSpec
 from .kernels import KernelSpec, PointCloud
 from .model import FilamentModel
@@ -166,7 +166,8 @@ def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
         jj = bj[:, None] + offs_y[None, :]
         ok = (ii >= 0) & (ii < grid.nx) & (jj >= 0) & (jj < grid.ny)
         nodes = np.stack([xs0 + ii * dx, ys0 + jj * dy], axis=-1)
-        dist = segment_distances(nodes, a[:, None], b[:, None])  # (segments, stencil)
+        # (segments, stencil)
+        dist = segment_distances(nodes, Segments.between(a[:, None], b[:, None]))
         path = np.repeat(np.arange(p, q), np.diff(segs.offsets[p:q + 1]))
         keys = path[:, None] * n_nodes + (ii * grid.ny + jj)
         for k, r in enumerate(radii):

@@ -155,13 +155,25 @@ def test_estimate_malformed_csv_exits_3_with_line(tmp_path, capsys):
     ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--grid", "1"], 2),
     ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--trim", "-1"], 2),
     ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--bounds", "0,1,a,1"], 2),
-], ids=["nan-row", "coincident", "quantile", "grid", "negative-trim", "bounds"])
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--bounds", "0,1,0,0.6"], 2),
+], ids=["nan-row", "coincident", "quantile", "grid", "negative-trim", "bounds",
+        "bounds-exclude-data"])
 def test_estimate_bad_input_exit_codes(tmp_path, capsys, rows, flags, code):
     pts = tmp_path / "points.csv"
     pts.write_text("x,y\n" + rows)
     assert run("estimate", "--points", str(pts), "--out", str(tmp_path / "o"),
                *flags) == code
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_estimate_bounds_excluding_data_names_the_count(tmp_path, capsys):
+    pts = tmp_path / "points.csv"
+    pts.write_text("x,y\n0.1,0.2\n0.5,0.5\n0.3,0.9\n0.7,0.95\n")
+    assert run("estimate", "--points", str(pts), "--out", str(tmp_path / "o"),
+               "--bounds", "0,1,0,0.6") == 2
+    err = capsys.readouterr().err
+    assert err == "error: --bounds exclude 2 of 4 data points\n"
+    assert not (tmp_path / "o" / "field.csv").exists()
 
 
 def test_mean_shift_underflow_exits_4(pentagon_points, tmp_path, capsys,

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathdensity.geometry import (polyline_arclength, polyline_self_intersects,
-                                  segment_distances)
+from pathdensity.geometry import (Segments, polyline_arclength,
+                                  polyline_self_intersects, segment_distances)
 
 from conftest import polyline_ensemble
 
@@ -12,22 +12,29 @@ coord = st.floats(-50, 50, allow_nan=False)
 
 
 def test_point_to_horizontal_segment():
-    d = segment_distances(np.array([[0.5, 1.0]]), np.array([[0.0, 0.0]]),
-                          np.array([[1.0, 0.0]]))
+    d = segment_distances(np.array([[0.5, 1.0]]),
+                          Segments.between([[0.0, 0.0]], [[1.0, 0.0]]))
     assert d[0] == pytest.approx(1.0)
 
 
 def test_distance_beyond_endpoints_clamps():
-    a = np.array([[0.0, 0.0]])
-    b = np.array([[1.0, 0.0]])
-    assert segment_distances(np.array([[2.0, 0.0]]), a, b)[0] == pytest.approx(1.0)
-    assert segment_distances(np.array([[-3.0, 4.0]]), a, b)[0] == pytest.approx(5.0)
+    segs = Segments.between([[0.0, 0.0]], [[1.0, 0.0]])
+    assert segment_distances(np.array([[2.0, 0.0]]), segs)[0] == pytest.approx(1.0)
+    assert segment_distances(np.array([[-3.0, 4.0]]), segs)[0] == pytest.approx(5.0)
 
 
 def test_zero_length_segment_is_point_distance():
     a = np.array([[1.0, 1.0]])
-    d = segment_distances(np.array([[4.0, 5.0]]), a, a.copy())
+    d = segment_distances(np.array([[4.0, 5.0]]), Segments.between(a, a.copy()))
     assert d[0] == pytest.approx(5.0)
+
+
+def test_underflowing_segment_length_is_start_distance():
+    # dx^2 + dy^2 underflows to 0 although b != a
+    a = np.array([[1.0, 1.0]])
+    p = np.array([[4.0, 5.0]])
+    d = segment_distances(p, Segments.between(a, a + 1e-170))
+    assert d[0] == np.sqrt(3.0 * 3.0 + 4.0 * 4.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -36,7 +43,7 @@ def test_segment_distance_bounded_by_endpoint_distances(px, py, ax, ay, bx, by):
     p = np.array([[px, py]])
     a = np.array([[ax, ay]])
     b = np.array([[bx, by]])
-    d = segment_distances(p, a, b)[0]
+    d = segment_distances(p, Segments.between(a, b))[0]
     d_end = min(np.hypot(px - ax, py - ay), np.hypot(px - bx, py - by))
     assert d <= d_end + 1e-9
     assert d >= 0.0

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from pathdensity.kernels import (KernelDensityField, KernelSpec, PointCloud,
-                                 kde_density, kde_gradient, kde_hessian,
-                                 kernel_value)
+                                 kde_density, kde_gradient, kde_hessian)
 from pathdensity.model import two_gaussian_model
 
 from conftest import fd_gradient, fd_hessian
@@ -15,8 +14,8 @@ PROFILES = [KernelSpec(), KernelSpec("truncated-gaussian", cutoff=4.0)]
 
 def test_gaussian_at_zero_and_one():
     k = KernelSpec()
-    assert kernel_value(k, 0.0) == pytest.approx(1.0)
-    assert kernel_value(k, 1.0) == pytest.approx(np.exp(-0.5))
+    assert k.raw(0.0) == pytest.approx(1.0)
+    assert k.raw(1.0) == pytest.approx(np.exp(-0.5))
 
 
 @pytest.mark.parametrize("kernel", PROFILES)
@@ -53,7 +52,7 @@ def test_normalized_profile_integrates_to_one_on_disk(kernel):
 
 def test_negative_argument_rejected():
     with pytest.raises(ValueError):
-        kernel_value(KernelSpec(), -0.1)
+        KernelSpec().raw(-0.1)
 
 
 def test_bad_profile_and_cutoff_rejected():

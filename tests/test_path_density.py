@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pathdensity import path_density
+from pathdensity.geometry import Segments, segment_distances
 from pathdensity.grids import GridSpec
 from pathdensity.kernels import KernelSpec
 from pathdensity.path_density import (BandwidthPlan, default_bandwidths,
@@ -48,6 +52,35 @@ def test_trim_reduces_to_terminal_vertex():
     assert d[1, 1] == pytest.approx(np.hypot(1, 1))
     # a trim at the path length also keeps the last vertex
     assert ens.trimmed(3).distances([0.0, 0.0])[0, 0] == pytest.approx(2.0)
+
+
+# coarse coordinates repeat often, giving zero-length segments and queries
+# that sit exactly on a vertex; fine ones give general position
+coord = st.one_of(st.integers(-3, 3).map(lambda k: k / 2.0),
+                  st.floats(-4.0, 4.0, allow_nan=False))
+vertex = st.tuples(coord, coord)
+
+
+@settings(max_examples=200, deadline=None)
+@given(paths=st.lists(st.lists(vertex, min_size=1, max_size=6), min_size=1,
+                      max_size=5),
+       data=st.data(), block=st.integers(1, 40))
+def test_distances_equal_per_path_min_of_segment_distances(paths, data, block):
+    # small blocks run both branches of distances: several points against
+    # all segments, and one point against slices of the segments
+    queries = data.draw(st.lists(st.one_of(vertex, st.sampled_from(sum(paths, []))),
+                                 min_size=1, max_size=6))
+    pts = np.array(queries, dtype=float)
+    expected = np.empty((len(pts), len(paths)))
+    for i, p in enumerate(paths):
+        v = np.array(p, dtype=float)
+        a, b = (v[:-1], v[1:]) if len(v) > 1 else (v, v)
+        expected[:, i] = segment_distances(pts[:, None],
+                                           Segments.between(a, b)).min(axis=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(path_density, "_PAIR_BLOCK", block)
+        got = polyline_ensemble(paths).distances(pts)
+    assert np.array_equal(got, expected)
 
 
 # -- estimator ----------------------------------------------------------------
