@@ -54,7 +54,11 @@ def write_points_csv(path, points: np.ndarray):
 def read_points_csv(path) -> PointCloud:
     rows = []
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
+        try:
+            lines = list(f)
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text ({e.reason})")
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -216,8 +220,6 @@ def cmd_estimate(args) -> int:
     cloud = read_points_csv(args.points)
     if cloud.spread <= 0:
         raise DataError(f"{args.points}: all points coincide (spread 0)")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     kernel = KernelSpec()
 
     if args.h is not None and args.nu is not None:
@@ -236,6 +238,8 @@ def cmd_estimate(args) -> int:
                                | (y < grid.ymin) | (y > grid.ymax))
     if outside:
         raise UsageError(f"--bounds exclude {outside} of {cloud.n} data points")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     cfg = kde_flow_config(cloud, kernel, h)
 
     if args.tracer == "meanshift":
@@ -279,14 +283,14 @@ def cmd_oracle(args) -> int:
         raise UsageError("--n-mc must be at least 1")
     if args.r1 is not None and not args.r1 > 0:
         raise UsageError("--r1 must be positive")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     sig = model.max_sigma
     xmin, xmax, ymin, ymax = model.box
     pad = 2 * sig
     bounds = (_parse_bounds(args.bounds) if args.bounds
               else (xmin - pad, xmax + pad, ymin - pad, ymax + pad))
     grid = _grid_spec(args, bounds)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     cfg = model_flow_config(model)
     crit = find_critical_points(model, model.box, cfg)

@@ -4,6 +4,7 @@ Any object with a vectorized derivatives(x, order) method works as a field
 source; points may be a single (2,) coordinate or an (m, 2) batch.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -284,10 +285,11 @@ def find_critical_points(field: ScalarField, domain, cfg: FlowConfig,
                          max_newton_steps: int = 60) -> list[CriticalPoint]:
     """Locate and classify zeros of the gradient inside a bounded rectangle.
 
-    Newton iteration on grad = 0 from a seed grid; roots are deduplicated
-    within the merge radius and classified by Hessian eigenvalue signs.
-    Seeds that diverge (leave the padded domain, or hit a singular Hessian
-    away from a root) are dropped.
+    Newton iteration on grad = 0 from a seed grid, all seeds as one batch
+    (one field call per iterate and per backtracking round); roots are
+    deduplicated within the merge radius and classified by Hessian
+    eigenvalue signs. Seeds that diverge (leave the padded domain, or hit a
+    singular Hessian away from a root) are dropped.
     """
     xmin, xmax, ymin, ymax = map(float, domain)
     diam = float(np.hypot(xmax - xmin, ymax - ymin))
@@ -296,48 +298,54 @@ def find_critical_points(field: ScalarField, domain, cfg: FlowConfig,
 
     xs = np.linspace(xmin, xmax, seeds_per_axis + 2)[1:-1]
     ys = np.linspace(ymin, ymax, seeds_per_axis + 2)[1:-1]
-    seeds = np.array([[x, y] for x in xs for y in ys])
+    P = np.array([[x, y] for x in xs for y in ys])
     pad = 0.2 * diam
     step_tol = 1e-10 * diam
 
-    roots = []
-    for seed in seeds:
-        p = seed.copy()
-        accepted = False
-        for _ in range(max_newton_steps):
-            _, g, H = field.derivatives(p, 2)
-            gn = np.hypot(*g)
-            try:
-                step = np.linalg.solve(H, g)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)):
-                break
-            # damp very long Newton steps so seeds do not fly out immediately
-            norm = np.hypot(*step)
-            if norm > 0.5 * diam:
-                step *= 0.5 * diam / norm
-            # guard: backtrack until the gradient norm actually drops, which
-            # widens the basins (bare Newton's basins are narrow and ragged)
-            t = 1.0
-            while t > 1e-4:
-                q = p - t * step
-                gq = np.hypot(*field.derivatives(q, 1)[1])
-                if gq <= (1.0 - 0.25 * t) * gn or gq < cfg.grad_tolerance:
-                    break
-                t *= 0.5
-            else:
-                break
-            p = q
-            if not (xmin - pad <= p[0] <= xmax + pad and ymin - pad <= p[1] <= ymax + pad):
-                break
-            # a root is where the Newton increment collapses, not merely where
-            # the gradient is small (flat tails have tiny gradients everywhere)
-            if t == 1.0 and norm < step_tol:
-                accepted = gq < cfg.grad_tolerance
-                break
-        if accepted:
-            roots.append(p)
+    live = np.arange(len(P))  # seeds still iterating
+    found = np.zeros(len(P), dtype=bool)
+    for _ in range(max_newton_steps):
+        if not len(live):
+            break
+        _, g, H = field.derivatives(P[live], 2)
+        gn = np.hypot(g[:, 0], g[:, 1])
+        try:
+            step = np.linalg.solve(H, g[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # a singular Hessian drops its own seed only
+            step = np.full_like(g, np.nan)
+            for i in range(len(g)):
+                with suppress(np.linalg.LinAlgError):
+                    step[i] = np.linalg.solve(H[i], g[i])
+        ok = np.all(np.isfinite(step), axis=1)
+        live, gn, step = live[ok], gn[ok], step[ok]
+        # damp very long Newton steps so seeds do not fly out immediately
+        norm = np.hypot(step[:, 0], step[:, 1])
+        long = norm > 0.5 * diam
+        step[long] *= (0.5 * diam / norm[long])[:, None]
+        # guard: backtrack until the gradient norm actually drops, which
+        # widens the basins (bare Newton's basins are narrow and ragged);
+        # t halves only on the rows whose trial point was refused
+        p = P[live]
+        q, t, gq = np.empty_like(p), np.ones(len(live)), np.empty(len(live))
+        todo = np.arange(len(live))
+        while len(todo):
+            q[todo] = p[todo] - t[todo, None] * step[todo]
+            gt = field.derivatives(q[todo], 1)[1]
+            gq[todo] = np.hypot(gt[:, 0], gt[:, 1])
+            todo = todo[~((gq[todo] <= (1.0 - 0.25 * t[todo]) * gn[todo])
+                          | (gq[todo] < cfg.grad_tolerance))]
+            t[todo] *= 0.5
+            todo = todo[t[todo] > 1e-4]
+        P[live] = q
+        ok = ((t > 1e-4) & (xmin - pad <= q[:, 0]) & (q[:, 0] <= xmax + pad)
+              & (ymin - pad <= q[:, 1]) & (q[:, 1] <= ymax + pad))
+        # a root is where the Newton increment collapses, not merely where
+        # the gradient is small (flat tails have tiny gradients everywhere)
+        done = ok & (t == 1.0) & (norm < step_tol)
+        found[live[done]] = gq[done] < cfg.grad_tolerance
+        live = live[ok & ~done]
+    roots = P[found]
 
     merged: list[np.ndarray] = []
     for p in roots:

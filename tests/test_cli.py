@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathdensity.cli import main
+from pathdensity.cli import DataError, main, read_points_csv
 
 
 def run(*argv):
@@ -174,6 +176,63 @@ def test_estimate_bounds_excluding_data_names_the_count(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: --bounds exclude 2 of 4 data points\n"
     assert not (tmp_path / "o" / "field.csv").exists()
+
+
+def test_non_utf8_points_file_exits_3(tmp_path, capsys):
+    bad = tmp_path / "points.csv"
+    bad.write_bytes(b"\xff\xfex\x00,\x00y\x00\n\x000.1,0.2\n")
+    assert run("estimate", "--points", str(bad), "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text")
+    assert len(err.splitlines()) == 1
+
+
+_NUMBER = st.one_of(st.floats(), st.integers().map(float)).map(repr)
+_LINE = st.one_of(
+    st.text(max_size=12),
+    st.just("x,y"), st.just("# comment"), st.just(""),
+    st.tuples(_NUMBER, _NUMBER).map(",".join),
+    st.tuples(_NUMBER, _NUMBER, st.sampled_from([",", ", ", ",,", ";"]))
+    .map(lambda t: t[2].join(t[:2])),
+)
+_FILE = st.one_of(
+    st.binary(max_size=64),
+    st.tuples(st.lists(_LINE, max_size=8), st.sampled_from(["\n", "\r\n", "\r"]))
+    .map(lambda t: t[1].join(t[0]).encode("utf-8")),
+)
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "points.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=_FILE)
+def test_read_points_csv_returns_a_finite_cloud_or_data_error(scratch_csv, content):
+    scratch_csv.write_bytes(content)
+    try:
+        cloud = read_points_csv(scratch_csv)
+    except DataError as e:
+        assert str(e).startswith(f"{scratch_csv}: ")
+        return
+    assert cloud.points.ndim == 2 and cloud.points.shape[1] == 2
+    assert cloud.n >= 2 and np.all(np.isfinite(cloud.points))
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--bounds", "0,1,0,0.6"],
+    ["estimate", "--grid", "1"],
+    ["oracle", "--grid", "1"],
+    ["oracle", "--bounds", "0,0,0,1"],
+], ids=["estimate-bounds", "estimate-grid", "oracle-grid", "oracle-bounds"])
+def test_refused_run_leaves_no_out_directory(two_gaussian_json, tmp_path, argv):
+    pts = tmp_path / "points.csv"
+    pts.write_text("x,y\n0.1,0.2\n0.5,0.5\n0.3,0.9\n")
+    inputs = (["--points", str(pts)] if argv[0] == "estimate"
+              else ["--model-json", str(two_gaussian_json), "--seed", "1"])
+    assert run(*argv, *inputs, "--out", str(tmp_path / "o")) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_mean_shift_underflow_exits_4(pentagon_points, tmp_path, capsys,

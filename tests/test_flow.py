@@ -9,6 +9,7 @@ from pathdensity.flow import (FlowConfig, MeanShiftUnderflowError,
 from pathdensity.geometry import convex_hull_contains
 from pathdensity.kernels import KernelSpec, PointCloud
 from pathdensity.model import cluster_model, random_pentagon_model, two_gaussian_model
+from pathdensity.oracle import model_flow_config
 
 from conftest import QuadraticPeakField
 
@@ -265,3 +266,99 @@ def test_two_gaussian_separation_sweep_counts():
         model = two_gaussian_model(separation=sep)
         crit = find_critical_points(model, model.box, cfg, seeds_per_axis=12)
         assert len(crit) == 3, f"separation {sep}"
+
+
+def _per_seed_critical_points(field, domain, cfg, seeds_per_axis=24,
+                              max_newton_steps=60):
+    """Reference: the Newton search one seed at a time, with the seeds, step
+    rule, backtrack, merge and classification of find_critical_points.
+    Returns the sorted locations, kinds and Hessian eigenvalues."""
+    xmin, xmax, ymin, ymax = map(float, domain)
+    diam = float(np.hypot(xmax - xmin, ymax - ymin))
+    xs = np.linspace(xmin, xmax, seeds_per_axis + 2)[1:-1]
+    ys = np.linspace(ymin, ymax, seeds_per_axis + 2)[1:-1]
+    pad, step_tol = 0.2 * diam, 1e-10 * diam
+    roots = []
+    for seed in np.array([[x, y] for x in xs for y in ys]):
+        p = seed.copy()
+        accepted = False
+        for _ in range(max_newton_steps):
+            _, g, H = field.derivatives(p, 2)
+            gn = np.hypot(*g)
+            try:
+                step = np.linalg.solve(H, g)
+            except np.linalg.LinAlgError:
+                break
+            if not np.all(np.isfinite(step)):
+                break
+            norm = np.hypot(*step)
+            if norm > 0.5 * diam:
+                step *= 0.5 * diam / norm
+            t = 1.0
+            while t > 1e-4:
+                q = p - t * step
+                gq = np.hypot(*field.derivatives(q, 1)[1])
+                if gq <= (1.0 - 0.25 * t) * gn or gq < cfg.grad_tolerance:
+                    break
+                t *= 0.5
+            else:
+                break
+            p = q
+            if not (xmin - pad <= p[0] <= xmax + pad and ymin - pad <= p[1] <= ymax + pad):
+                break
+            if t == 1.0 and norm < step_tol:
+                accepted = gq < cfg.grad_tolerance
+                break
+        if accepted:
+            roots.append(p)
+    merged = []
+    for p in roots:
+        inside = xmin <= p[0] <= xmax and ymin <= p[1] <= ymax
+        if inside and all(np.hypot(*(p - q)) >= 1e-3 * diam for q in merged):
+            merged.append(p)
+    merged.sort(key=lambda p: (p[0], p[1]))
+    hess = [field.derivatives(p, 2)[2] for p in merged]
+    kinds = [classify_critical_point(H, 1e-9 * max(1.0, float(np.max(np.abs(H)))))
+             for H in hess]
+    return np.array(merged), kinds, np.array([np.linalg.eigvalsh(H) for H in hess])
+
+
+def _as_arrays(crit):
+    return (np.array([c.location for c in crit]), [c.kind for c in crit],
+            np.array([c.hessian_eigenvalues for c in crit]))
+
+
+def test_batched_newton_equals_per_seed_loop_on_two_gaussians():
+    model = two_gaussian_model()
+    cfg = model_flow_config(model)
+    loc, kinds, ev = _as_arrays(find_critical_points(model, model.box, cfg))
+    ref_loc, ref_kinds, ref_ev = _per_seed_critical_points(model, model.box, cfg)
+    assert kinds == ref_kinds == ["maximum", "saddle", "maximum"]
+    assert np.array_equal(loc, ref_loc)
+    assert np.array_equal(ev, ref_ev)
+
+
+def test_batched_newton_matches_per_seed_loop_on_pentagon():
+    # one-row and multi-row field calls may round the last bit differently
+    # (BLAS gemv against gemm), so locations agree to a relative 1e-12
+    model, _ = random_pentagon_model(np.random.default_rng(21), n=100)
+    cfg = model_flow_config(model)
+    loc, kinds, _ = _as_arrays(find_critical_points(model, model.box, cfg))
+    ref_loc, ref_kinds, _ = _per_seed_critical_points(model, model.box, cfg)
+    assert kinds == ref_kinds
+    xmin, xmax, ymin, ymax = model.box
+    diam = np.hypot(xmax - xmin, ymax - ymin)
+    assert np.max(np.abs(loc - ref_loc)) <= 1e-12 * diam
+
+
+def test_singular_hessian_drops_only_its_own_seeds():
+    # far from a narrow cluster the Hessian underflows to exactly zero, so
+    # the batched solve raises and the iteration is solved row by row
+    model = cluster_model([(0.35, -0.1)], 0.08, (-3, 3, -3, 3))
+    cfg = FlowConfig(step_scale=0.01, grad_tolerance=1e-10, min_displacement=1e-12)
+    xs = np.linspace(-3, 3, 26)[1:-1]
+    H = model.derivatives(np.array([[x, y] for x in xs for y in xs]), 2)[2]
+    assert np.any(np.all(H == 0, axis=(1, 2)))
+    crit = find_critical_points(model, model.box, cfg, seeds_per_axis=24)
+    assert [c.kind for c in crit] == ["maximum"]
+    np.testing.assert_allclose(crit[0].location, [0.35, -0.1], rtol=0, atol=1e-12)
