@@ -149,16 +149,38 @@ def _load_model(args) -> FilamentModel:
 
 
 # -- commands -----------------------------------------------------------------
+# Each command validates its flags and inputs before it creates --out, so a
+# refused run leaves no directory behind.
+
+def _check_seed(args, command):
+    if args.seed is None:
+        raise UsageError(f"{command} requires --seed")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
+
+
+def _check_positive(flag, value):
+    """Refuse a float flag that is not a finite positive number."""
+    if not 0.0 < value < np.inf:
+        raise UsageError(f"{flag} must be finite and positive, not {value!r}")
+
+
+def _check_radius(flag, r1, grid: GridSpec):
+    """Refuse a ball radius r1 whose outer ball (radius 2 r1) is wider than
+    the grid's shorter side: the hit-count stencil grows with r1 / spacing."""
+    _check_positive(flag, r1)
+    side = min(grid.xmax - grid.xmin, grid.ymax - grid.ymin)
+    if 2.0 * r1 > side:
+        raise UsageError(f"{flag} must be at most half the grid's shorter side "
+                         f"({side / 2.0:g}), not {r1!r}")
+
 
 def cmd_simulate(args) -> int:
-    if args.seed is None:
-        raise UsageError("simulate requires --seed")
+    _check_seed(args, "simulate")
     if args.model is not None and args.model_json is not None:
         raise UsageError("give either --model or --model-json, not both")
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.model_json is not None:
         model = _load_model(args)
         cloud = model.sample(args.n, np.random.default_rng(args.seed))
@@ -167,6 +189,8 @@ def cmd_simulate(args) -> int:
         name = args.model if args.model is not None else "pentagon"
         model, cloud = _builtin_model(name, args.n, args.seed)
         source = name
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_points_csv(out / "points.csv", cloud.points)
     doc = model.to_dict()
     doc["meta"] = {
@@ -205,6 +229,10 @@ def _grid_spec(args, bounds) -> GridSpec:
         raise (UsageError if args.bounds else DataError)(str(e))
 
 
+# the KDE's derivatives divide by h^4, which must stay a normal float
+_BANDWIDTHS = (1e-76, 1e76)
+
+
 def cmd_estimate(args) -> int:
     t_start = time.time()
     if not 0.0 < args.quantile < 1.0:
@@ -217,6 +245,12 @@ def cmd_estimate(args) -> int:
             raise UsageError("--trim must be an integer or 'auto'")
         if trim < 0:
             raise UsageError("--trim must be nonnegative")
+    if args.tracer not in ("meanshift", "flow"):
+        raise UsageError(f"unknown tracer {args.tracer!r}")
+    if args.workers is not None and args.workers < 1:
+        raise UsageError("--workers must be at least 1")
+    _check_positive("--c-h", args.c_h)
+    _check_positive("--c-nu", args.c_nu)
     cloud = read_points_csv(args.points)
     if cloud.spread <= 0:
         raise DataError(f"{args.points}: all points coincide (spread 0)")
@@ -228,8 +262,10 @@ def cmd_estimate(args) -> int:
         plan = default_bandwidths(cloud.n, cloud.spread, c_h=args.c_h, c_nu=args.c_nu)
         h = args.h if args.h is not None else plan.h
         nu = args.nu if args.nu is not None else plan.nu
-    if h <= 0 or nu <= 0:
-        raise UsageError("bandwidths must be positive")
+    lo, hi = _BANDWIDTHS
+    if not (lo <= h <= hi and lo <= nu <= hi):
+        raise UsageError(f"bandwidths must lie in [{lo:g}, {hi:g}], "
+                         f"not h = {h!r}, nu = {nu!r}")
 
     bounds = _parse_bounds(args.bounds) if args.bounds else cloud.bounds(margin=0.05)
     grid = _grid_spec(args, bounds)
@@ -240,15 +276,12 @@ def cmd_estimate(args) -> int:
         raise UsageError(f"--bounds exclude {outside} of {cloud.n} data points")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = kde_flow_config(cloud, kernel, h)
 
     if args.tracer == "meanshift":
-        paths = mean_shift_paths(cloud, kernel, h, cloud.points, cfg)
-    elif args.tracer == "flow":
-        paths = trace_ascent_paths(KernelDensityField(cloud, kernel, h),
-                                   cloud.points, cfg)
+        paths = mean_shift_paths(cloud, kernel, h, cloud.points)
     else:
-        raise UsageError(f"unknown tracer {args.tracer!r}")
+        paths = trace_ascent_paths(KernelDensityField(cloud, kernel, h),
+                                   cloud.points, kde_flow_config(cloud, kernel, h))
 
     fld = path_density_field(paths, kernel, nu, grid,
                              workers=worker_count(args.workers))
@@ -277,18 +310,17 @@ def cmd_estimate(args) -> int:
 
 def cmd_oracle(args) -> int:
     model = _load_model(args)
-    if args.seed is None:
-        raise UsageError("oracle requires --seed")
+    _check_seed(args, "oracle")
     if args.n_mc < 1:
         raise UsageError("--n-mc must be at least 1")
-    if args.r1 is not None and not args.r1 > 0:
-        raise UsageError("--r1 must be positive")
     sig = model.max_sigma
     xmin, xmax, ymin, ymax = model.box
     pad = 2 * sig
     bounds = (_parse_bounds(args.bounds) if args.bounds
               else (xmin - pad, xmax + pad, ymin - pad, ymax + pad))
     grid = _grid_spec(args, bounds)
+    if args.r1 is not None:
+        _check_radius("--r1", args.r1, grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -305,8 +337,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    if args.seed is None:
-        raise UsageError("converge requires --seed")
+    _check_seed(args, "converge")
     try:
         n_list = [int(t) for t in args.n.split(",")]
     except ValueError:
@@ -319,18 +350,16 @@ def cmd_converge(args) -> int:
         raise UsageError("--probes needs at least 2 nodes per axis")
     if args.oracle_n_mc < 1:
         raise UsageError("--oracle-n-mc must be at least 1")
-    if not args.oracle_r1 > 0:
-        raise UsageError("--oracle-r1 must be positive")
     if args.model_json:
         model = _load_model(args)
     elif args.model == "two-gaussian":
         model = two_gaussian_model()
     else:
         raise UsageError("converge needs --model two-gaussian or --model-json")
+    probe = GridSpec.from_bounds(model.box, args.probes)
+    _check_radius("--oracle-r1", args.oracle_r1, probe)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    xmin, xmax, ymin, ymax = model.box
-    probe = GridSpec(xmin, xmax, ymin, ymax, args.probes, args.probes)
     table = convergence_experiment(model, n_list, args.reps, probe, args.seed,
                                    oracle_n_mc=args.oracle_n_mc,
                                    oracle_r1=args.oracle_r1)

@@ -15,6 +15,12 @@ from .kernels import (KernelSpec, PointCloud, _kde_derivatives, _kde_terms,
                       _weight_sums)
 from .path_density import PathEnsemble
 
+# a path's trim hint is its first vertex that has gained this fraction of
+# the path's total value gain
+TRIM_FRACTION = 0.1
+# an RK4 step may lower the field value by at most this much
+_ASCENT_TOLERANCE = 1e-12
+
 
 class ScalarField(Protocol):
     def derivatives(self, x, order: int) -> tuple:
@@ -43,9 +49,7 @@ class FlowConfig:
     min_displacement: float = 1e-9
     max_steps: int = 10_000
     max_time_step: float = 0.25
-    ascent_tolerance: float = 1e-12
     max_halvings: int = 40
-    trim_fraction: float = 0.1
 
     def __post_init__(self):
         for name in ("step_scale", "grad_tolerance", "min_displacement",
@@ -60,9 +64,13 @@ def kde_flow_config(cloud: PointCloud, kernel: KernelSpec, h: float,
     from .kernels import kde_density
 
     gmax = float(np.max(kde_density(cloud, kernel, h, cloud.points)))
+    grad_tolerance = 1e-7 * gmax / h
+    if not 0.0 < grad_tolerance < np.inf:
+        raise FlowNumericalError(
+            f"KDE peak {gmax!r} at h = {h!r} gives no usable gradient tolerance")
     base = dict(
         step_scale=0.25 * h,
-        grad_tolerance=1e-7 * gmax / h,
+        grad_tolerance=grad_tolerance,
         min_displacement=1e-6 * h,
     )
     base.update(overrides)
@@ -95,7 +103,7 @@ class _Recorder:
         self.times.append(t)
         self.values.append(val)
 
-    def build(self, active, terminal_gnorm, trim_fraction) -> PathEnsemble:
+    def build(self, active, terminal_gnorm) -> PathEnsemble:
         # Monte-Carlo batches are large: free each list once it is flat
         ids = np.concatenate(self.ids)
         self.ids.clear()
@@ -111,11 +119,11 @@ class _Recorder:
         ends = np.cumsum(counts)
         first = ends - counts
 
-        # trim hint: first vertex whose value gained trim_fraction of the
+        # trim hint: first vertex whose value gained TRIM_FRACTION of the
         # path's total gain (0 when the path did not gain)
         gain = values[ends - 1] - values[first]
         reached = (values - np.repeat(values[first], counts)
-                   >= trim_fraction * np.repeat(gain, counts))
+                   >= TRIM_FRACTION * np.repeat(gain, counts))
         hit = np.where(reached, np.arange(len(values)), len(values))
         hint = np.minimum.reduceat(hit, first) - first
         hint[(gain <= 0) | (hint >= counts)] = 0
@@ -192,14 +200,14 @@ def trace_ascent_paths(field: ScalarField, starts, cfg: FlowConfig,
         v1, g1 = field.derivatives(trial, 1)
         stalled = np.zeros(len(idx), dtype=bool)
         for _h in range(cfg.max_halvings):
-            bad = ~np.isfinite(v1) | (v1 < v0 - cfg.ascent_tolerance)
+            bad = ~np.isfinite(v1) | (v1 < v0 - _ASCENT_TOLERANCE)
             if not bad.any():
                 break
             dt[bad] *= 0.5
             trial[bad] = rk4(p[bad], g[bad], dt[bad])
             v1[bad], g1[bad] = field.derivatives(trial[bad], 1)
         else:
-            stalled = ~np.isfinite(v1) | (v1 < v0 - cfg.ascent_tolerance)
+            stalled = ~np.isfinite(v1) | (v1 < v0 - _ASCENT_TOLERANCE)
 
         if np.any(~np.isfinite(trial[~stalled])):
             raise FlowNumericalError("non-finite position along an ascent path")
@@ -221,19 +229,24 @@ def trace_ascent_paths(field: ScalarField, starts, cfg: FlowConfig,
         active[idx[done]] = False
         rec.stalled[idx[stalled]] = True
 
-    return rec.build(active, gnorm, cfg.trim_fraction)
+    return rec.build(active, gnorm)
 
 
-def mean_shift_paths(cloud: PointCloud, kernel: KernelSpec, h: float,
-                     starts, cfg: FlowConfig) -> PathEnsemble:
+def mean_shift_paths(cloud: PointCloud, kernel: KernelSpec, h: float, starts,
+                     min_displacement: float | None = None,
+                     max_steps: int = 10_000) -> PathEnsemble:
     """Kernel-weighted-mean iteration from each start, recorded as paths.
 
     Each iterate moves to the kernel-weighted mean of the data; the sequence
     ascends the KDE and stops when the displacement drops below
-    min_displacement (or at max_steps).
+    min_displacement (default 1e-6 h), or after max_steps.
     """
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
+    if min_displacement is None:
+        min_displacement = 1e-6 * h
+    if not (min_displacement > 0 and max_steps > 0):
+        raise ValueError("min_displacement and max_steps must be positive")
     starts = as_points(starts)
     m = len(starts)
     pos = starts.copy()
@@ -241,12 +254,12 @@ def mean_shift_paths(cloud: PointCloud, kernel: KernelSpec, h: float,
     rec = _Recorder(m)
     active = np.ones(m, dtype=bool)
 
-    for step in range(cfg.max_steps):
+    for step in range(max_steps):
         if not active.any():
             break
         idx = np.nonzero(active)[0]
         p = pos[idx]
-        s0, s1 = _weight_sums(cloud.points, kernel, h, p, 1)
+        s0, s1 = _weight_sums(cloud.points, h, p, 1)
         if np.any(s0 <= 0.0):
             raise MeanShiftUnderflowError(
                 "all kernel weights underflowed: start too far from data")
@@ -257,13 +270,13 @@ def mean_shift_paths(cloud: PointCloud, kernel: KernelSpec, h: float,
         disp = np.hypot(new[:, 0] - p[:, 0], new[:, 1] - p[:, 1])
         pos[idx] = new
         t[idx] = step + 1
-        active[idx[disp < cfg.min_displacement]] = False
+        active[idx[disp < min_displacement]] = False
 
     # every path's last vertex is still unrecorded
     val, grad = _kde_derivatives(cloud, kernel, h, pos, 1)
     rec.record(np.arange(m), pos, t, val)
     gnorm = np.hypot(grad[:, 0], grad[:, 1])
-    return rec.build(active, gnorm, cfg.trim_fraction)
+    return rec.build(active, gnorm)
 
 
 def classify_critical_point(hessian, degeneracy_tol: float) -> str:
@@ -279,22 +292,20 @@ def classify_critical_point(hessian, degeneracy_tol: float) -> str:
 
 
 def find_critical_points(field: ScalarField, domain, cfg: FlowConfig,
-                         seeds_per_axis: int = 24,
-                         merge_radius: float | None = None,
-                         degeneracy_tol: float | None = None,
-                         max_newton_steps: int = 60) -> list[CriticalPoint]:
+                         seeds_per_axis: int = 24) -> list[CriticalPoint]:
     """Locate and classify zeros of the gradient inside a bounded rectangle.
 
     Newton iteration on grad = 0 from a seed grid, all seeds as one batch
-    (one field call per iterate and per backtracking round); roots are
-    deduplicated within the merge radius and classified by Hessian
-    eigenvalue signs. Seeds that diverge (leave the padded domain, or hit a
-    singular Hessian away from a root) are dropped.
+    (one field call per iterate and per backtracking round, at most 60
+    iterates); roots are deduplicated within 1e-3 of the domain diagonal and
+    classified by Hessian eigenvalue signs, with eigenvalues below 1e-9 of
+    the largest Hessian entry (or of 1) counting as zero. Seeds that diverge
+    (leave the padded domain, or hit a singular Hessian away from a root)
+    are dropped.
     """
     xmin, xmax, ymin, ymax = map(float, domain)
     diam = float(np.hypot(xmax - xmin, ymax - ymin))
-    if merge_radius is None:
-        merge_radius = 1e-3 * diam
+    merge_radius = 1e-3 * diam
 
     xs = np.linspace(xmin, xmax, seeds_per_axis + 2)[1:-1]
     ys = np.linspace(ymin, ymax, seeds_per_axis + 2)[1:-1]
@@ -304,7 +315,7 @@ def find_critical_points(field: ScalarField, domain, cfg: FlowConfig,
 
     live = np.arange(len(P))  # seeds still iterating
     found = np.zeros(len(P), dtype=bool)
-    for _ in range(max_newton_steps):
+    for _ in range(60):
         if not len(live):
             break
         _, g, H = field.derivatives(P[live], 2)
@@ -360,8 +371,7 @@ def find_critical_points(field: ScalarField, domain, cfg: FlowConfig,
     out = []
     for p in merged:
         H = field.derivatives(p, 2)[2]
-        tol = degeneracy_tol if degeneracy_tol is not None else 1e-9 * max(
-            1.0, float(np.max(np.abs(H))))
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(H))))
         ev = np.linalg.eigvalsh(H)
         out.append(CriticalPoint(
             location=p,

@@ -19,14 +19,18 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2x2 nodes")
+        # a finite span needs finite bounds
+        if not np.isfinite([self.xmax - self.xmin, self.ymax - self.ymin]).all():
+            raise ValueError("grid bounds and their spans must be finite")
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError("grid bounds are degenerate")
 
     @classmethod
-    def from_bounds(cls, bounds, nx: int, ny: int | None = None):
+    def from_bounds(cls, bounds, nx: int):
+        """A square nx x nx grid over (xmin, xmax, ymin, ymax)."""
         xmin, xmax, ymin, ymax = bounds
         return cls(float(xmin), float(xmax), float(ymin), float(ymax),
-                   int(nx), int(ny if ny is not None else nx))
+                   int(nx), int(nx))
 
     @property
     def dx(self) -> float:

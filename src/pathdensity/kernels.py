@@ -1,39 +1,21 @@
-"""Radial kernel profiles and the 2-D kernel density estimator with analytic derivatives.
+"""The Gaussian kernel profile and the 2-D kernel density estimator with analytic derivatives.
 
 The raw profile K(t) is what distance-smoothing uses; the 2-D normalizer c_K
 is applied only when K is promoted to a probability density on the plane.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import as_points
 
-_PROFILES = ("gaussian", "truncated-gaussian")
 
-
-@dataclass(frozen=True)
 class KernelSpec:
-    """A radial profile K(t) on [0, inf) plus the constant c_K making
-    c_K * K(||u||) integrate to 1 over the plane."""
+    """The Gaussian profile K(t) = exp(-t^2 / 2) on [0, inf) plus the
+    constant c_K making c_K * K(||u||) integrate to 1 over the plane."""
 
-    profile: str = "gaussian"
-    cutoff: float | None = None
-    normalizer: float = field(init=False)
-
-    def __post_init__(self):
-        if self.profile not in _PROFILES:
-            raise ValueError(f"unknown kernel profile {self.profile!r}")
-        if self.profile == "truncated-gaussian":
-            if self.cutoff is None or self.cutoff <= 0:
-                raise ValueError("truncated-gaussian needs a positive cutoff radius")
-            mass = 2.0 * np.pi * (1.0 - np.exp(-0.5 * self.cutoff**2))
-        else:
-            if self.cutoff is not None:
-                raise ValueError("cutoff only applies to truncated-gaussian")
-            mass = 2.0 * np.pi
-        object.__setattr__(self, "normalizer", 1.0 / mass)
+    normalizer = 1.0 / (2.0 * np.pi)
 
     def raw(self, t):
         """Profile K(t) for t >= 0; vectorized, no normalizer."""
@@ -45,10 +27,7 @@ class KernelSpec:
     def raw_unchecked(self, t: np.ndarray) -> np.ndarray:
         """raw() without the sign check, for a float array that is
         nonnegative by construction, such as a distance ratio."""
-        v = np.exp(-0.5 * t * t)
-        if self.profile == "truncated-gaussian":
-            v = np.where(t <= self.cutoff, v, 0.0)
-        return v
+        return np.exp(-0.5 * t * t)
 
 
 @dataclass(frozen=True)
@@ -96,16 +75,7 @@ def squared_distance_matrix(pts: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _profile_weights(kernel: KernelSpec, d2: np.ndarray, h: float) -> np.ndarray:
-    """K(||diff|| / h) for the whole squared-distance block."""
-    k = np.exp(d2 * (-0.5 / (h * h)))
-    if kernel.profile == "truncated-gaussian":
-        k[d2 > (kernel.cutoff * h) ** 2] = 0.0
-    return k
-
-
-def _weight_sums(data: np.ndarray, kernel: KernelSpec, h: float, pts: np.ndarray,
-                 order: int) -> list:
+def _weight_sums(data: np.ndarray, h: float, pts: np.ndarray, order: int) -> list:
     """Row sums of the weight block K(||p - X_i|| / h) over the data X_i,
     built once per chunk of rows: s0 = sum K, then for order >= 1
     s1 = sum K X_i (m, 2), and for order 2 the second moments
@@ -117,7 +87,7 @@ def _weight_sums(data: np.ndarray, kernel: KernelSpec, h: float, pts: np.ndarray
                    data[:, 1] * data[:, 1])
     for s in range(0, len(pts), _CHUNK):
         sl = slice(s, s + _CHUNK)
-        k = _profile_weights(kernel, squared_distance_matrix(pts[sl], data), h)
+        k = np.exp(squared_distance_matrix(pts[sl], data) * (-0.5 / (h * h)))
         sums[0][sl] = k.sum(axis=1)
         if order >= 1:
             sums[1][sl] = k @ data
@@ -167,7 +137,7 @@ def _kde_derivatives(cloud, kernel: KernelSpec, h: float, x, order: int) -> tupl
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
     pts = as_points(x)
-    sums = _weight_sums(cloud.points, kernel, h, pts, order)
+    sums = _weight_sums(cloud.points, h, pts, order)
     return _unbatch(x, _kde_terms(kernel, h, cloud.n, pts, sums))
 
 

@@ -38,7 +38,7 @@ class Filament:
     and a Gaussian noise scale."""
 
     def __init__(self, vertices, sigma: float, weight: str = "uniform",
-                 beta_a: float = 0.5, beta_b: float = 0.5, validate: bool = True):
+                 beta_a: float = 0.5, beta_b: float = 0.5):
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 2:
             raise ValueError("filament needs a polyline of at least 2 vertices")
@@ -55,18 +55,17 @@ class Filament:
         self.length = float(self.arclength[-1])
         if self.length <= 0:
             raise ValueError("filament has zero length")
-        if validate and polyline_self_intersects(v):
+        if polyline_self_intersects(v):
             raise ValueError("filament polyline self-intersects")
 
     @classmethod
     def from_endpoints(cls, a, b, sigma: float, weight: str = "uniform",
-                       beta_a: float = 0.5, beta_b: float = 0.5,
-                       vertices_per_sigma: int = 32):
-        """A straight filament densified to the standard polyline resolution."""
+                       beta_a: float = 0.5, beta_b: float = 0.5):
+        """A straight filament densified to 32 vertices per sigma."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         length = float(np.hypot(*(b - a)))
-        k = max(2, int(np.ceil(vertices_per_sigma * length / sigma)) + 1)
+        k = max(2, int(np.ceil(32 * length / sigma)) + 1)
         t = np.linspace(0.0, 1.0, k)[:, None]
         return cls(a[None, :] * (1 - t) + b[None, :] * t, sigma,
                    weight=weight, beta_a=beta_a, beta_b=beta_b)
@@ -204,6 +203,8 @@ class FilamentModel:
         xmin, xmax, ymin, ymax = self.box
         if not (xmax > xmin and ymax > ymin):
             raise ValueError("degenerate box")
+        if not np.isfinite([xmax - xmin, ymax - ymin]).all():
+            raise ValueError("box bounds and their spans must be finite")
 
     # -- geometry helpers -------------------------------------------------
 
@@ -371,20 +372,18 @@ class FilamentModel:
 
 # -- builtin models ----------------------------------------------------------
 
-def cluster_model(centers, sigma: float, box, weights=None,
-                  background_weight: float = 0.0) -> FilamentModel:
+def cluster_model(centers, sigma: float, box) -> FilamentModel:
+    """Equal-weight Gaussian clusters of one noise scale, no background."""
     centers = as_points(centers)
     k = len(centers)
-    if weights is None:
-        weights = np.full(k, (1.0 - background_weight) / k)
-    return FilamentModel([], [], [(tuple(c), sigma) for c in centers], weights,
-                         background_weight=background_weight, box=box)
+    return FilamentModel([], [], [(tuple(c), sigma) for c in centers],
+                         np.full(k, 1.0 / k), background_weight=0.0, box=box)
 
 
-def two_gaussian_model(separation: float = 2.0, sigma: float = 0.5,
-                       box=(-3.0, 3.0, -2.5, 2.5)) -> FilamentModel:
+def two_gaussian_model(separation: float = 2.0) -> FilamentModel:
+    """Two sigma-0.5 clusters on the x-axis in the box [-3, 3] x [-2.5, 2.5]."""
     half = separation / 2.0
-    return cluster_model([(-half, 0.0), (half, 0.0)], sigma, box)
+    return cluster_model([(-half, 0.0), (half, 0.0)], 0.5, (-3.0, 3.0, -2.5, 2.5))
 
 
 def _largest_remainder_counts(total: int, proportions: np.ndarray) -> np.ndarray:
@@ -399,17 +398,17 @@ def _largest_remainder_counts(total: int, proportions: np.ndarray) -> np.ndarray
 
 
 def random_pentagon_model(rng: np.random.Generator, n: int = 500,
-                          sigma: float = 0.03, background: bool = False,
-                          max_tries: int = 100):
-    """Five random vertices on the unit square joined into a simple pentagon;
-    each side is a filament with an endpoint-heavy beta(1/2, 1/2) weight.
+                          background: bool = False):
+    """Five random vertices on the unit square joined into a simple pentagon
+    (100 draws at most); each side is a filament of noise scale 0.03 with an
+    endpoint-heavy beta(1/2, 1/2) weight.
 
     Points are split across sides proportionally to side length (each count
     within 1 of the exact share). With background=True, n uniform points on
     the square are appended and the mixture gets a 0.5 background weight.
     Returns (model, cloud).
     """
-    for _ in range(max_tries):
+    for _ in range(100):
         verts = rng.random((5, 2))
         centroid = verts.mean(axis=0)
         order = np.argsort(np.arctan2(verts[:, 1] - centroid[1],
@@ -422,7 +421,7 @@ def random_pentagon_model(rng: np.random.Generator, n: int = 500,
         raise RuntimeError("could not draw a simple pentagon")
 
     edges = [(ring[i], ring[(i + 1) % 5]) for i in range(5)]
-    filaments = [Filament.from_endpoints(a, b, sigma, weight="beta",
+    filaments = [Filament.from_endpoints(a, b, 0.03, weight="beta",
                                          beta_a=0.5, beta_b=0.5)
                  for a, b in edges]
     lengths = np.asarray([f.length for f in filaments])

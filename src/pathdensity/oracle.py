@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import (FlowConfig, find_critical_points, kde_flow_config,
-                   mean_shift_paths, trace_ascent_paths)
+from .flow import (FlowConfig, find_critical_points, mean_shift_paths,
+                   trace_ascent_paths)
 from .geometry import Segments, segment_distances
 from .grids import GridField, GridSpec
 from .kernels import KernelSpec, PointCloud
@@ -41,21 +41,15 @@ class PathDensityEstimate:
     n_mc: int
 
 
-def model_flow_config(model: FilamentModel, **overrides) -> FlowConfig:
+def model_flow_config(model: FilamentModel) -> FlowConfig:
     """Tracing defaults scaled to the model's noise scale and peak height."""
     sigma = model.max_sigma
     if sigma <= 0:
         raise ValueError("model has no Gaussian components to scale against")
     anchors = model.anchor_points()
     vmax = float(np.max(model.value(anchors))) if len(anchors) else 1.0
-    base = dict(
-        step_scale=sigma / 6.0,
-        grad_tolerance=1e-7 * vmax / sigma,
-        min_displacement=1e-6 * sigma,
-        max_halvings=30,
-    )
-    base.update(overrides)
-    return FlowConfig(**base)
+    return FlowConfig(step_scale=sigma / 6.0, grad_tolerance=1e-7 * vmax / sigma,
+                      min_displacement=1e-6 * sigma, max_halvings=30)
 
 
 def sample_and_trace(field, sampler: FilamentModel, n_mc: int,
@@ -85,18 +79,16 @@ def point_density_terms(segs: PathEnsemble, x, r1: float,
     return (2.0 / r1) * (md <= r1) - (1.0 / r2) * (md <= r2)
 
 
-def point_density_estimate(segs: PathEnsemble, x, r1: float,
-                           r2: float | None = None) -> PathDensityEstimate:
+def point_density_estimate(segs: PathEnsemble, x, r1: float) -> PathDensityEstimate:
     """Two-radius extrapolation of hit-fraction / radius.
 
     With hit fractions f1, f2 at radii r1 and r2 = 2 r1, the combination
     2 f1/r1 - f2/r2 removes the term linear in r from f(r)/r; the spread of
     the per-path contributions gives the standard error.
     """
-    if r2 is None:
-        r2 = 2.0 * r1
-    if not (0 < r1 < r2):
-        raise ValueError("need 0 < r1 < r2")
+    if not 0 < r1 < np.inf:
+        raise ValueError("r1 must be positive and finite")
+    r2 = 2.0 * r1
     a = point_density_terms(segs, x, r1, r2)
     value = float(a.mean())
     n = segs.n_paths
@@ -105,22 +97,18 @@ def point_density_estimate(segs: PathEnsemble, x, r1: float,
 
 
 def path_measure(field, sampler: FilamentModel, center, r: float, n_mc: int,
-                 rng: np.random.Generator, cfg: FlowConfig | None = None) -> PathMeasureEstimate:
+                 rng: np.random.Generator) -> PathMeasureEstimate:
     """Probability that the ascent path of a random draw meets the closed ball."""
-    segs = sample_and_trace(field, sampler, n_mc, rng, cfg=cfg,
+    segs = sample_and_trace(field, sampler, n_mc, rng,
                             refine_disks=([center], [r]))
     return ball_hit_estimate(segs, center, r)
 
 
 def path_density_oracle(field, sampler: FilamentModel, x, r1: float, n_mc: int,
-                        rng: np.random.Generator, cfg: FlowConfig | None = None,
-                        r2: float | None = None) -> PathDensityEstimate:
+                        rng: np.random.Generator) -> PathDensityEstimate:
     """Monte-Carlo path density at a regular point."""
-    if r2 is None:
-        r2 = 2.0 * r1
-    segs = sample_and_trace(field, sampler, n_mc, rng, cfg=cfg,
-                            refine_disks=([x], [r1]))
-    return point_density_estimate(segs, x, r1, r2)
+    segs = sample_and_trace(field, sampler, n_mc, rng, refine_disks=([x], [r1]))
+    return point_density_estimate(segs, x, r1)
 
 
 def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
@@ -209,24 +197,19 @@ def oracle_field(field, sampler: FilamentModel, grid: GridSpec, n_mc: int,
     return GridField(spec=grid, values=values, saturated=saturated)
 
 
-def true_path_ensemble(cloud: PointCloud, field,
-                       cfg: FlowConfig | None = None) -> PathEnsemble:
-    """Ascent paths of the data points traced on the true field."""
-    if cfg is None and isinstance(field, FilamentModel):
-        cfg = model_flow_config(field)
-    if cfg is None:
-        raise ValueError("cfg required for non-model fields")
-    return trace_ascent_paths(field, cloud.points, cfg)
+def true_path_ensemble(cloud: PointCloud, model: FilamentModel) -> PathEnsemble:
+    """Ascent paths of the data points traced on the true model field."""
+    return trace_ascent_paths(model, cloud.points, model_flow_config(model))
 
 
-def estimate_with_true_paths(cloud: PointCloud, field, kernel: KernelSpec,
-                             nu: float, x, cfg: FlowConfig | None = None):
+def estimate_with_true_paths(cloud: PointCloud, model: FilamentModel,
+                             kernel: KernelSpec, nu: float, x):
     """The path-density estimator fed with true-field paths of the data.
 
     Splits off the field-estimation error: comparing this against the full
     estimator isolates the effect of tracing on an estimated field.
     """
-    ensemble = true_path_ensemble(cloud, field, cfg=cfg)
+    ensemble = true_path_ensemble(cloud, model)
     return estimate_path_density(ensemble, kernel, nu, x)
 
 
@@ -275,22 +258,19 @@ def _loglog_fit(rows):
 
 def convergence_experiment(model: FilamentModel, n_list, replicates: int,
                            probe_grid: GridSpec, seed: int,
-                           kernel: KernelSpec | None = None,
-                           c_h: float = 0.125, c_nu: float = 0.125,
                            oracle_n_mc: int = 100_000,
-                           oracle_r1: float = 0.02,
-                           exclusion_factor: float = 2.0) -> RateTable:
+                           oracle_r1: float = 0.02) -> RateTable:
     """Sup-norm error of the estimator against the Monte-Carlo truth.
 
     For each sample size and replicate: draw, trace mean-shift paths, estimate
-    on the probe grid with the rate-optimal bandwidths, and take the sup of
-    |estimate - truth| over the kept probes. The probe set is fixed across the
-    whole sweep: probes within exclusion_factor times the largest nu of the
-    sweep of any true maximum or saddle are dropped (a per-run exclusion would
+    on the probe grid with the default rate-optimal bandwidths, and take the
+    sup of |estimate - truth| over the kept probes. The probe set is fixed
+    across the whole sweep: probes within twice the largest nu of the sweep
+    of any true maximum or saddle are dropped (a per-run exclusion would
     expose more of the near-mode divergence as n grows and mask the decay).
     The truth raster is shared across runs.
     """
-    kernel = kernel or KernelSpec()
+    kernel = KernelSpec()
     seq = np.random.SeedSequence(seed)
     oracle_seed, *run_seeds = seq.spawn(1 + len(n_list) * replicates)
 
@@ -320,14 +300,13 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
             rng = np.random.default_rng(run_seeds[k])
             k += 1
             cloud = model.sample(int(n), rng)
-            bw = default_bandwidths(cloud.n, cloud.spread, c_h=c_h, c_nu=c_nu)
+            bw = default_bandwidths(cloud.n, cloud.spread)
             nu_max = max(nu_max, bw.nu)
-            cfg = kde_flow_config(cloud, kernel, bw.h)
-            ensemble = mean_shift_paths(cloud, kernel, bw.h, cloud.points, cfg)
+            ensemble = mean_shift_paths(cloud, kernel, bw.h, cloud.points)
             est = estimate_path_density(ensemble, kernel, bw.nu, nodes)
             runs.append((int(n), rep, est))
 
-    keep = d_excl > exclusion_factor * nu_max
+    keep = d_excl > 2.0 * nu_max
     rows = [(n, rep, float(np.max(np.abs(est[keep] - truth.ravel()[keep]))))
             for n, rep, est in runs]
     median_rows = [(n, rep, float(np.median(np.abs(est[keep] - truth.ravel()[keep]))))
@@ -337,5 +316,7 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
     return RateTable(rows=rows, slope=slope, slope_stderr=stderr, ci95=ci,
                      median_rows=median_rows,
                      meta={"seed": seed, "oracle_n_mc": oracle_n_mc,
-                           "oracle_r1": oracle_r1, "c_h": c_h, "c_nu": c_nu,
-                           "exclusion_factor": exclusion_factor})
+                           "oracle_r1": oracle_r1,
+                           # default_bandwidths' constants and the exclusion
+                           # factor above
+                           "c_h": 0.125, "c_nu": 0.125, "exclusion_factor": 2.0})

@@ -22,7 +22,6 @@ class BandwidthPlan:
 
     h: float
     nu: float
-    source: str = "user"
 
     def __post_init__(self):
         if self.h <= 0 or self.nu <= 0:
@@ -40,8 +39,7 @@ def default_bandwidths(n: int, spread: float, c_h: float = 0.125,
     ln = np.log(n)
     h = c_h * spread * ln**0.25 / n**0.125
     nu = c_nu * spread * ln / n ** (1.0 / 3.0)
-    return BandwidthPlan(h=float(h), nu=float(nu),
-                         source=f"rate-optimal(c_h={c_h}, c_nu={c_nu})")
+    return BandwidthPlan(h=float(h), nu=float(nu))
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ import pytest
 
 from pathdensity.cli import main as cli_main
 from pathdensity.flow import (FlowConfig, find_critical_points,
-                              kde_flow_config, mean_shift_paths,
-                              trace_ascent_paths)
+                              mean_shift_paths, trace_ascent_paths)
 from pathdensity.grids import GridSpec
 from pathdensity.kernels import (KernelSpec, PointCloud, kde_density,
                                  kde_gradient, kde_hessian)
@@ -356,9 +355,8 @@ def test_criterion_9_levelset_distance_trend(pentagon, pentagon_segs):
             k += 1
             cloud = model.sample(n, rng)
             bw = default_bandwidths(cloud.n, cloud.spread)
-            cfg = kde_flow_config(cloud, KERNEL, bw.h,
-                                  min_displacement=1e-3 * bw.h)
-            paths = mean_shift_paths(cloud, KERNEL, bw.h, cloud.points, cfg)
+            paths = mean_shift_paths(cloud, KERNEL, bw.h, cloud.points,
+                                     min_displacement=1e-3 * bw.h)
             fld = path_density_field(paths, KERNEL, bw.nu, grid)
             est_set = level_set(fld, quantile_threshold(fld, cloud, q))
             ds.append(set_distance_consistency(true_set, est_set))

@@ -1,4 +1,5 @@
 import json
+import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -158,8 +159,21 @@ def test_estimate_malformed_csv_exits_3_with_line(tmp_path, capsys):
     ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--trim", "-1"], 2),
     ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--bounds", "0,1,a,1"], 2),
     ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--bounds", "0,1,0,0.6"], 2),
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--h", "nan"], 2),
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--h", "inf"], 2),
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--nu", "nan"], 2),
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--nu", "inf"], 2),
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--c-h", "nan"], 2),
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--c-h", "-1"], 2),
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--c-nu", "0"], 2),
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--bounds=-inf,inf,-1,2"], 2),
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--workers", "0"], 2),
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--workers", "-3"], 2),
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--tracer", "bogus"], 2),
 ], ids=["nan-row", "coincident", "quantile", "grid", "negative-trim", "bounds",
-        "bounds-exclude-data"])
+        "bounds-exclude-data", "h-nan", "h-inf", "nu-nan", "nu-inf", "c-h-nan",
+        "c-h-negative", "c-nu-zero", "bounds-infinite", "workers-0",
+        "workers-negative", "tracer"])
 def test_estimate_bad_input_exit_codes(tmp_path, capsys, rows, flags, code):
     pts = tmp_path / "points.csv"
     pts.write_text("x,y\n" + rows)
@@ -220,18 +234,27 @@ def test_read_points_csv_returns_a_finite_cloud_or_data_error(scratch_csv, conte
     assert cloud.n >= 2 and np.all(np.isfinite(cloud.points))
 
 
-@pytest.mark.parametrize("argv", [
-    ["estimate", "--bounds", "0,1,0,0.6"],
-    ["estimate", "--grid", "1"],
-    ["oracle", "--grid", "1"],
-    ["oracle", "--bounds", "0,0,0,1"],
-], ids=["estimate-bounds", "estimate-grid", "oracle-grid", "oracle-bounds"])
-def test_refused_run_leaves_no_out_directory(two_gaussian_json, tmp_path, argv):
+@pytest.mark.parametrize("argv, code", [
+    (["estimate", "--bounds", "0,1,0,0.6"], 2),
+    (["estimate", "--grid", "1"], 2),
+    (["estimate", "--tracer", "bogus"], 2),
+    (["oracle", "--grid", "1"], 2),
+    (["oracle", "--bounds", "0,0,0,1"], 2),
+    (["simulate", "--model", "bogus", "--seed", "1"], 2),
+    (["simulate", "--model-json", "WEIGHTS", "--seed", "1"], 3),
+], ids=["estimate-bounds", "estimate-grid", "estimate-tracer", "oracle-grid",
+        "oracle-bounds", "simulate-model", "simulate-model-json"])
+def test_refused_run_leaves_no_out_directory(two_gaussian_json, tmp_path, argv,
+                                             code):
     pts = tmp_path / "points.csv"
     pts.write_text("x,y\n0.1,0.2\n0.5,0.5\n0.3,0.9\n")
-    inputs = (["--points", str(pts)] if argv[0] == "estimate"
-              else ["--model-json", str(two_gaussian_json), "--seed", "1"])
-    assert run(*argv, *inputs, "--out", str(tmp_path / "o")) == 2
+    bad_model = tmp_path / "model.json"
+    bad_model.write_text(INVALID_MODELS["weights"])
+    argv = [str(bad_model) if a == "WEIGHTS" else a for a in argv]
+    inputs = {"estimate": ["--points", str(pts)],
+              "oracle": ["--model-json", str(two_gaussian_json), "--seed", "1"],
+              "simulate": []}[argv[0]]
+    assert run(*argv, *inputs, "--out", str(tmp_path / "o")) == code
     assert not (tmp_path / "o").exists()
 
 
@@ -297,10 +320,19 @@ FAST_CONVERGE = ["--oracle-n-mc", "200", "--probes", "4"]
      "--probes", "4"],
     ["converge", "--n", "50,100", "--reps", "1", "--oracle-r1", "0",
      *FAST_CONVERGE],
+    ["oracle", "--bounds=-inf,inf,-3,3"],
+    ["oracle", "--r1", "inf"],
+    ["oracle", "--r1", "1e300"],
+    ["converge", "--n", "50,100", "--reps", "1", "--oracle-r1", "inf",
+     *FAST_CONVERGE],
+    ["converge", "--n", "50,100", "--reps", "1", "--oracle-r1", "1e300",
+     *FAST_CONVERGE],
 ], ids=["simulate-n", "oracle-grid", "oracle-bounds", "oracle-n-mc",
         "oracle-r1", "converge-probes", "converge-n-text", "converge-n-1",
         "converge-one-size", "converge-reps", "converge-oracle-n-mc",
-        "converge-oracle-r1"])
+        "converge-oracle-r1", "oracle-bounds-infinite", "oracle-r1-inf",
+        "oracle-r1-huge", "converge-oracle-r1-inf",
+        "converge-oracle-r1-huge"])
 def test_bad_flag_exit_codes(two_gaussian_json, tmp_path, capsys, argv):
     assert run(*argv, "--model-json", str(two_gaussian_json), "--seed", "1",
                "--out", str(tmp_path / "o")) == 2
@@ -311,6 +343,8 @@ _CLUSTER = {"center": [0.0, 0.0], "sigma": 0.5, "weight": 1.0}
 INVALID_MODELS = {
     "not-json": "{ not json",
     "no-box": json.dumps({"version": 1, "clusters": [_CLUSTER]}),
+    "infinite-box": json.dumps({"version": 1, "box": [-np.inf, np.inf, -2, 2],
+                                "clusters": [_CLUSTER]}),
     "weights": json.dumps({"version": 1, "box": [-2, 2, -2, 2],
                            "background_weight": 0.5,
                            "clusters": [{**_CLUSTER, "weight": 0.2}]}),
@@ -394,3 +428,77 @@ def test_config_rejects_keys_no_flag_uses(two_gaussian_json, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "background_weight" in err
     assert not (tmp_path / "sim").exists()
+
+
+# -- exit codes under arbitrary flag values ------------------------------------
+# Every flag is drawn from values that break naive checks (nan, +-inf, 0,
+# negative, tiny, huge) as well as ordinary ones. Sizes stay tiny so that no
+# draw makes a run allocate in proportion to a drawn value.
+
+_FLOAT = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -1.0,
+                          5e-324, 1e-300, 1e300, 0.05, 0.3, 2.0])
+_BOUNDS = st.sampled_from(["0,1,0,1", "-3,3,-3,3", "0,0,0,1", "-inf,inf,-1,2",
+                           "nan,1,0,1", "-1e308,1e308,0,1"])
+
+
+def _flags(**draws):
+    """Optional flags: `--name=value` for every draw that is not None."""
+    return st.fixed_dictionaries({k: st.none() | v for k, v in draws.items()}).map(
+        lambda d: [f"--{k.replace('_', '-')}={v}" for k, v in d.items()
+                   if v is not None])
+
+
+_COMMANDS = {
+    "simulate": st.tuples(
+        st.just(["simulate", "--n=30"]),
+        _flags(model=st.sampled_from(["pentagon", "pentagon-bg", "two-gaussian",
+                                      "bogus"]),
+               n=st.integers(-2, 60), seed=st.integers(-2, 5))),
+    "estimate": st.tuples(
+        st.just(["estimate", "--grid=12"]),
+        _flags(h=_FLOAT, nu=_FLOAT, c_h=_FLOAT, c_nu=_FLOAT, quantile=_FLOAT,
+               grid=st.integers(-2, 16), bounds=_BOUNDS,
+               trim=st.integers(-2, 4).map(str) | st.just("auto"),
+               tracer=st.sampled_from(["meanshift", "flow", "bogus"]),
+               workers=st.integers(-3, 3))),
+    "oracle": st.tuples(
+        st.just(["oracle", "--grid=10", "--n-mc=30", "--seed=1"]),
+        _flags(grid=st.integers(-2, 16), n_mc=st.integers(-2, 50), r1=_FLOAT,
+               bounds=_BOUNDS, seed=st.integers(-2, 5))),
+    "converge": st.tuples(
+        st.just(["converge", "--n=20,40", "--reps=1", "--probes=4",
+                 "--oracle-n-mc=30", "--seed=1"]),
+        _flags(n=st.sampled_from(["2,3", "20,40", "60", "0,5", "x"]),
+               reps=st.integers(-1, 2), probes=st.integers(-1, 6),
+               oracle_n_mc=st.integers(-2, 50), oracle_r1=_FLOAT,
+               seed=st.integers(-2, 5))),
+}
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("flags")
+    assert run("simulate", "--model", "pentagon", "--n", "60", "--seed", "2",
+               "--out", str(out)) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_any_flag_values_give_a_documented_exit_code(flag_inputs,
+                                                     two_gaussian_json, command):
+    inputs = {"simulate": [], "converge": [],
+              "estimate": ["--points", str(flag_inputs / "points.csv")],
+              "oracle": ["--model-json", str(two_gaussian_json)]}[command]
+    out = flag_inputs / "o"
+
+    @settings(max_examples=50, deadline=None)
+    @given(argv=_COMMANDS[command])
+    def check(argv):
+        base, flags = argv
+        shutil.rmtree(out, ignore_errors=True)
+        code = main([*base, *inputs, *flags, "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code in (2, 3):
+            assert not out.exists()
+
+    check()

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from pathdensity.flow import (FlowConfig, MeanShiftUnderflowError,
-                              classify_critical_point, find_critical_points,
-                              kde_flow_config, mean_shift_paths,
-                              trace_ascent_paths)
+from pathdensity.flow import (TRIM_FRACTION, FlowConfig, FlowNumericalError,
+                              MeanShiftUnderflowError, classify_critical_point,
+                              find_critical_points, kde_flow_config,
+                              mean_shift_paths, trace_ascent_paths)
 from pathdensity.geometry import convex_hull_contains
 from pathdensity.kernels import KernelSpec, PointCloud
 from pathdensity.model import cluster_model, random_pentagon_model, two_gaussian_model
@@ -96,35 +96,44 @@ def test_min_distances_on_segments():
 
 # -- mean shift ---------------------------------------------------------------
 
+def test_kde_flow_config_refuses_a_zero_peak(gaussian_kernel, monkeypatch):
+    # far below the point spacing, rounding in the squared self-distances
+    # can underflow every kernel weight, so that the KDE peak reads 0
+    import pathdensity.kernels as kernels
+
+    monkeypatch.setattr(kernels, "kde_density", lambda *args: np.zeros(2))
+    cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.5]]))
+    with pytest.raises(FlowNumericalError, match="gradient tolerance"):
+        kde_flow_config(cloud, gaussian_kernel, 1e-20)
+
+
 def test_mean_shift_single_point_converges_in_one_step(gaussian_kernel):
     cloud = PointCloud(np.array([[0.7, -0.3]]))
-    cfg = FlowConfig(step_scale=1.0, grad_tolerance=1e-9, min_displacement=1e-10)
-    p = mean_shift_paths(cloud, gaussian_kernel, 0.5, [[5.0, 5.0]], cfg)[0]
+    p = mean_shift_paths(cloud, gaussian_kernel, 0.5, [[5.0, 5.0]],
+                         min_displacement=1e-10)[0]
     np.testing.assert_allclose(p.vertices[1], [0.7, -0.3], rtol=4e-16)
     assert p.converged
 
 
 def test_mean_shift_symmetric_pair_stays_on_axis(gaussian_kernel):
     cloud = PointCloud(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    cfg = FlowConfig(step_scale=1.0, grad_tolerance=1e-7, min_displacement=1e-12,
-                     max_steps=200)
-    p = mean_shift_paths(cloud, gaussian_kernel, 1.0, [[0.0, 0.3]], cfg)[0]
+    p = mean_shift_paths(cloud, gaussian_kernel, 1.0, [[0.0, 0.3]],
+                         min_displacement=1e-12, max_steps=200)[0]
     assert np.max(np.abs(p.vertices[:, 0])) < 1e-12
 
 
 def test_mean_shift_underflow_raises(gaussian_kernel):
     cloud = PointCloud(np.array([[0.0, 0.0]]))
-    cfg = FlowConfig(step_scale=1.0, grad_tolerance=1e-9, min_displacement=1e-10)
     with pytest.raises(MeanShiftUnderflowError):
-        mean_shift_paths(cloud, gaussian_kernel, 0.1, [[500.0, 0.0]], cfg)
+        mean_shift_paths(cloud, gaussian_kernel, 0.1, [[500.0, 0.0]],
+                         min_displacement=1e-10)
 
 
 def test_mean_shift_pentagon_terminals_are_modes(gaussian_kernel):
     model, cloud = random_pentagon_model(np.random.default_rng(11), n=200)
     h = 0.08
-    cfg = kde_flow_config(cloud, gaussian_kernel, h, min_displacement=1e-12,
-                          grad_tolerance=1e-6, max_steps=2000)
-    paths = mean_shift_paths(cloud, gaussian_kernel, h, cloud.points, cfg)
+    paths = mean_shift_paths(cloud, gaussian_kernel, h, cloud.points,
+                             min_displacement=1e-12, max_steps=2000)
     worst = max(p.terminal_gradient_norm for p in paths)
     assert worst < 1e-6
     assert all(p.converged for p in paths)
@@ -138,7 +147,8 @@ def test_mean_shift_and_flow_reach_the_same_mode(gaussian_kernel):
     cfg = kde_flow_config(cloud, gaussian_kernel, h, min_displacement=1e-10)
     field = KernelDensityField(cloud, gaussian_kernel, h)
     for x0 in cloud.points[[3, 40, 77]]:
-        ms = mean_shift_paths(cloud, gaussian_kernel, h, [x0], cfg)[0]
+        ms = mean_shift_paths(cloud, gaussian_kernel, h, [x0],
+                              min_displacement=1e-10)[0]
         ode = trace_ascent_paths(field, [x0], cfg)[0]
         assert np.hypot(*(ms.end - ode.end)) < 1e-3 * h
 
@@ -156,9 +166,9 @@ def test_converged_flag_tells_cut_paths_from_finished_ones(gaussian_kernel,
     starts = cloud.points[::10]
 
     def trace(**overrides):
-        cfg = kde_flow_config(cloud, gaussian_kernel, h, **overrides)
         if tracer == "meanshift":
-            return mean_shift_paths(cloud, gaussian_kernel, h, starts, cfg)
+            return mean_shift_paths(cloud, gaussian_kernel, h, starts, **overrides)
+        cfg = kde_flow_config(cloud, gaussian_kernel, h, **overrides)
         return trace_ascent_paths(KernelDensityField(cloud, gaussian_kernel, h),
                                   starts, cfg)
 
@@ -183,20 +193,20 @@ def test_mean_shift_trim_hint_matches_vertex_values(gaussian_kernel, max_steps):
 
     model, cloud = random_pentagon_model(np.random.default_rng(4), n=150)
     h = 0.1
-    cfg = kde_flow_config(cloud, gaussian_kernel, h, max_steps=max_steps)
-    paths = mean_shift_paths(cloud, gaussian_kernel, h, cloud.points, cfg)
+    paths = mean_shift_paths(cloud, gaussian_kernel, h, cloud.points,
+                             max_steps=max_steps)
     assert all(p.converged == (max_steps > 3) for p in paths)
     for p in paths:
         vals = kde_density(cloud, gaussian_kernel, h, p.vertices)
-        assert p.trim_hint == _trim_hint(vals, cfg.trim_fraction)
+        assert p.trim_hint == _trim_hint(vals, TRIM_FRACTION)
 
 
 def test_mean_shift_ascends_kde(gaussian_kernel):
     from pathdensity.kernels import kde_density
 
     model, cloud = random_pentagon_model(np.random.default_rng(4), n=150)
-    cfg = FlowConfig(step_scale=1.0, grad_tolerance=1e-7, min_displacement=1e-9)
-    p = mean_shift_paths(cloud, gaussian_kernel, 0.1, [cloud.points[17]], cfg)[0]
+    p = mean_shift_paths(cloud, gaussian_kernel, 0.1, [cloud.points[17]],
+                         min_displacement=1e-9)[0]
     vals = kde_density(cloud, gaussian_kernel, 0.1, p.vertices)
     assert np.all(np.diff(vals) >= -1e-12)
 

@@ -7,7 +7,7 @@ from pathdensity.model import two_gaussian_model
 
 from conftest import fd_gradient, fd_hessian
 
-PROFILES = [KernelSpec(), KernelSpec("truncated-gaussian", cutoff=4.0)]
+PROFILES = [KernelSpec()]
 
 
 # -- profile contract ---------------------------------------------------------
@@ -53,15 +53,6 @@ def test_normalized_profile_integrates_to_one_on_disk(kernel):
 def test_negative_argument_rejected():
     with pytest.raises(ValueError):
         KernelSpec().raw(-0.1)
-
-
-def test_bad_profile_and_cutoff_rejected():
-    with pytest.raises(ValueError):
-        KernelSpec("triangle")
-    with pytest.raises(ValueError):
-        KernelSpec("truncated-gaussian")
-    with pytest.raises(ValueError):
-        KernelSpec("gaussian", cutoff=2.0)
 
 
 # -- point cloud --------------------------------------------------------------

@@ -178,7 +178,7 @@ def test_true_path_estimate_permutation_invariant():
 def test_coarse_kde_paths_track_true_paths_better_than_fine():
     # with n fixed at desk scale, shrinking h inflates the field-estimation
     # error, so the coarse-h estimator sits closer to the true-path estimator
-    from pathdensity.flow import kde_flow_config, mean_shift_paths
+    from pathdensity.flow import mean_shift_paths
 
     model = two_gaussian_model()
     kernel = KernelSpec()
@@ -191,8 +191,7 @@ def test_coarse_kde_paths_track_true_paths_better_than_fine():
         pstar = estimate_path_density(true_path_ensemble(cloud, model),
                                       kernel, nu, probes)
         for h in (0.4, 0.1):
-            cfg = kde_flow_config(cloud, kernel, h)
-            paths = mean_shift_paths(cloud, kernel, h, cloud.points, cfg)
+            paths = mean_shift_paths(cloud, kernel, h, cloud.points)
             est = estimate_path_density(paths, kernel, nu, probes)
             gaps.setdefault(h, []).append(np.median(np.abs(est - pstar)))
     assert np.median(gaps[0.4]) < np.median(gaps[0.1])

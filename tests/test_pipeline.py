@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from pathdensity.flow import kde_flow_config, mean_shift_paths
+from pathdensity.flow import mean_shift_paths
 from pathdensity.grids import GridSpec
 from pathdensity.kernels import KernelSpec
 from pathdensity.levelset import level_set, quantile_threshold
@@ -15,8 +15,8 @@ KERNEL = KernelSpec()
 def test_pentagon_level_set_is_sparse_and_near_structure():
     model, cloud = random_pentagon_model(np.random.default_rng(3), n=300)
     bw = default_bandwidths(cloud.n, cloud.spread)
-    cfg = kde_flow_config(cloud, KERNEL, bw.h, min_displacement=1e-3 * bw.h)
-    paths = mean_shift_paths(cloud, KERNEL, bw.h, cloud.points, cfg)
+    paths = mean_shift_paths(cloud, KERNEL, bw.h, cloud.points,
+                             min_displacement=1e-3 * bw.h)
     grid = GridSpec.from_bounds(cloud.bounds(margin=0.05), 60)
     fld = path_density_field(paths, KERNEL, bw.nu, grid)
     lam = quantile_threshold(fld, cloud, 0.9)
@@ -35,8 +35,7 @@ def test_pentagon_level_set_is_sparse_and_near_structure():
 def test_paths_have_distinct_consecutive_vertices():
     model, cloud = random_pentagon_model(np.random.default_rng(8), n=120)
     bw = default_bandwidths(cloud.n, cloud.spread)
-    cfg = kde_flow_config(cloud, KERNEL, bw.h)
-    paths = mean_shift_paths(cloud, KERNEL, bw.h, cloud.points, cfg)
+    paths = mean_shift_paths(cloud, KERNEL, bw.h, cloud.points)
     for p in paths:
         steps = np.hypot(*np.diff(p.vertices, axis=0).T)
         assert np.all(steps > 0)
