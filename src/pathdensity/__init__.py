@@ -4,8 +4,8 @@ from .flow import (CriticalPoint, FlowConfig, classify_critical_point,
                    find_critical_points, kde_flow_config, mean_shift_paths,
                    trace_ascent_paths)
 from .grids import GridField, GridSpec
-from .kernels import (KernelDensityField, KernelSpec, PointCloud, kde_density,
-                      kde_gradient, kde_hessian)
+from .kernels import (KernelDensityField, PointCloud, kde_density, kde_gradient,
+                      kde_hessian)
 from .levelset import (PlanarSet, containment_check, containment_radius,
                        dilate, directed_hausdorff, hausdorff_distance,
                        level_set, quantile_threshold, set_distance_consistency)

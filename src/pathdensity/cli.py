@@ -18,7 +18,7 @@ from .flow import (FlowNumericalError, MeanShiftUnderflowError,
                    find_critical_points, kde_flow_config, mean_shift_paths,
                    trace_ascent_paths)
 from .grids import GridField, GridSpec
-from .kernels import KernelDensityField, KernelSpec, PointCloud
+from .kernels import BANDWIDTHS, KernelDensityField, PointCloud
 from .levelset import level_set, quantile_threshold
 from .model import FilamentModel, random_pentagon_model, two_gaussian_model
 from .oracle import convergence_experiment, model_flow_config, oracle_field
@@ -229,10 +229,6 @@ def _grid_spec(args, bounds) -> GridSpec:
         raise (UsageError if args.bounds else DataError)(str(e))
 
 
-# the KDE's derivatives divide by h^4, which must stay a normal float
-_BANDWIDTHS = (1e-76, 1e76)
-
-
 def cmd_estimate(args) -> int:
     t_start = time.time()
     if not 0.0 < args.quantile < 1.0:
@@ -254,7 +250,6 @@ def cmd_estimate(args) -> int:
     cloud = read_points_csv(args.points)
     if cloud.spread <= 0:
         raise DataError(f"{args.points}: all points coincide (spread 0)")
-    kernel = KernelSpec()
 
     if args.h is not None and args.nu is not None:
         h, nu = args.h, args.nu
@@ -262,7 +257,7 @@ def cmd_estimate(args) -> int:
         plan = default_bandwidths(cloud.n, cloud.spread, c_h=args.c_h, c_nu=args.c_nu)
         h = args.h if args.h is not None else plan.h
         nu = args.nu if args.nu is not None else plan.nu
-    lo, hi = _BANDWIDTHS
+    lo, hi = BANDWIDTHS
     if not (lo <= h <= hi and lo <= nu <= hi):
         raise UsageError(f"bandwidths must lie in [{lo:g}, {hi:g}], "
                          f"not h = {h!r}, nu = {nu!r}")
@@ -278,13 +273,12 @@ def cmd_estimate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if args.tracer == "meanshift":
-        paths = mean_shift_paths(cloud, kernel, h, cloud.points)
+        paths = mean_shift_paths(cloud, h, cloud.points)
     else:
-        paths = trace_ascent_paths(KernelDensityField(cloud, kernel, h),
-                                   cloud.points, kde_flow_config(cloud, kernel, h))
+        paths = trace_ascent_paths(KernelDensityField(cloud, h), cloud.points,
+                                   kde_flow_config(cloud, h))
 
-    fld = path_density_field(paths, kernel, nu, grid,
-                             workers=worker_count(args.workers))
+    fld = path_density_field(paths, nu, grid, workers=worker_count(args.workers))
     lam = quantile_threshold(fld, cloud, args.quantile)
     mask_set = level_set(fld, lam)
 
@@ -328,8 +322,8 @@ def cmd_oracle(args) -> int:
     crit = find_critical_points(model, model.box, cfg)
     maxima = [c.location for c in crit if c.kind == "maximum"]
     rng = np.random.default_rng(args.seed)
-    fld = oracle_field(model, model, grid, args.n_mc, rng, r1=args.r1,
-                       cfg=cfg, maxima=maxima)
+    fld = oracle_field(model, grid, args.n_mc, rng, r1=args.r1, cfg=cfg,
+                       maxima=maxima)
     write_field_csv(out / "oracle_field.csv", fld)
     write_critical_points_csv(out / "critical_points.csv", crit)
     print(f"wrote oracle_field.csv and critical_points.csv in {out}")
@@ -453,8 +447,15 @@ def _apply_config(rest, commands):
     unknown = sorted(set(defaults) - flags)
     if unknown:
         raise UsageError(f"config keys match no flag: {', '.join(unknown)}")
+    # argparse converts only string defaults, through each flag's type
+    refused = {type(None): "null", bool: "a boolean", list: "a list",
+               dict: "an object"}
+    for key, value in defaults.items():
+        if type(value) in refused:
+            raise UsageError(f"config key {key!r} needs a number or a string, "
+                             f"not {refused[type(value)]}")
     for sp in commands.values():
-        sp.set_defaults(**defaults)
+        sp.set_defaults(**{k: str(v) for k, v in defaults.items()})
 
 
 def main(argv=None) -> int:

@@ -11,8 +11,8 @@ from typing import Protocol
 import numpy as np
 
 from .geometry import as_points
-from .kernels import (KernelSpec, PointCloud, _kde_derivatives, _kde_terms,
-                      _weight_sums)
+from .kernels import (PointCloud, _kde_derivatives, _kde_terms, _weight_sums,
+                      check_bandwidth)
 from .path_density import PathEnsemble
 
 # a path's trim hint is its first vertex that has gained this fraction of
@@ -32,7 +32,8 @@ class FlowNumericalError(RuntimeError):
 
 
 class MeanShiftUnderflowError(RuntimeError):
-    """All kernel weights underflowed to zero: start too far from data."""
+    """All kernel weights underflowed to zero: a start too far from the data,
+    or a bandwidth below the resolution of the coordinates."""
 
 
 @dataclass(frozen=True)
@@ -58,23 +59,16 @@ class FlowConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-def kde_flow_config(cloud: PointCloud, kernel: KernelSpec, h: float,
-                    **overrides) -> FlowConfig:
-    """Defaults scaled to a KDE: tolerances tied to the peak height and h."""
-    from .kernels import kde_density
-
-    gmax = float(np.max(kde_density(cloud, kernel, h, cloud.points)))
+def kde_flow_config(cloud: PointCloud, h: float) -> FlowConfig:
+    """Tracing settings scaled to a KDE: tolerances tied to the peak height
+    (the largest KDE value at a data point) and h."""
+    gmax = float(np.max(_kde_derivatives(cloud, h, cloud.points, 0)[0]))
     grad_tolerance = 1e-7 * gmax / h
     if not 0.0 < grad_tolerance < np.inf:
         raise FlowNumericalError(
             f"KDE peak {gmax!r} at h = {h!r} gives no usable gradient tolerance")
-    base = dict(
-        step_scale=0.25 * h,
-        grad_tolerance=grad_tolerance,
-        min_displacement=1e-6 * h,
-    )
-    base.update(overrides)
-    return FlowConfig(**base)
+    return FlowConfig(step_scale=0.25 * h, grad_tolerance=grad_tolerance,
+                      min_displacement=1e-6 * h)
 
 
 @dataclass(frozen=True)
@@ -232,7 +226,7 @@ def trace_ascent_paths(field: ScalarField, starts, cfg: FlowConfig,
     return rec.build(active, gnorm)
 
 
-def mean_shift_paths(cloud: PointCloud, kernel: KernelSpec, h: float, starts,
+def mean_shift_paths(cloud: PointCloud, h: float, starts,
                      min_displacement: float | None = None,
                      max_steps: int = 10_000) -> PathEnsemble:
     """Kernel-weighted-mean iteration from each start, recorded as paths.
@@ -241,8 +235,7 @@ def mean_shift_paths(cloud: PointCloud, kernel: KernelSpec, h: float, starts,
     ascends the KDE and stops when the displacement drops below
     min_displacement (default 1e-6 h), or after max_steps.
     """
-    if h <= 0:
-        raise ValueError("bandwidth h must be positive")
+    check_bandwidth(h)
     if min_displacement is None:
         min_displacement = 1e-6 * h
     if not (min_displacement > 0 and max_steps > 0):
@@ -262,10 +255,12 @@ def mean_shift_paths(cloud: PointCloud, kernel: KernelSpec, h: float, starts,
         s0, s1 = _weight_sums(cloud.points, h, p, 1)
         if np.any(s0 <= 0.0):
             raise MeanShiftUnderflowError(
-                "all kernel weights underflowed: start too far from data")
+                f"all kernel weights underflowed at h = {float(h)!r}: a start "
+                "is too far from the data, or h is below the resolution of "
+                "the coordinates")
         # the weight sum that divides the mean is the KDE at p up to a
         # constant, so each vertex is recorded one step after it is reached
-        rec.record(idx, p, t[idx], _kde_terms(kernel, h, cloud.n, p, [s0])[0])
+        rec.record(idx, p, t[idx], _kde_terms(h, cloud.n, p, [s0])[0])
         new = s1 / s0[:, None]
         disp = np.hypot(new[:, 0] - p[:, 0], new[:, 1] - p[:, 1])
         pos[idx] = new
@@ -273,7 +268,7 @@ def mean_shift_paths(cloud: PointCloud, kernel: KernelSpec, h: float, starts,
         active[idx[disp < min_displacement]] = False
 
     # every path's last vertex is still unrecorded
-    val, grad = _kde_derivatives(cloud, kernel, h, pos, 1)
+    val, grad = _kde_derivatives(cloud, h, pos, 1)
     rec.record(np.arange(m), pos, t, val)
     gnorm = np.hypot(grad[:, 0], grad[:, 1])
     return rec.build(active, gnorm)

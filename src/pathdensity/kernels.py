@@ -10,24 +10,26 @@ import numpy as np
 
 from .geometry import as_points
 
+# c_K, making c_K * K(||u||) integrate to 1 over the plane
+NORMALIZER = 1.0 / (2.0 * np.pi)
 
-class KernelSpec:
-    """The Gaussian profile K(t) = exp(-t^2 / 2) on [0, inf) plus the
-    constant c_K making c_K * K(||u||) integrate to 1 over the plane."""
+# the bandwidths the KDE accepts: its derivatives divide by h^4, which must
+# stay a normal float
+BANDWIDTHS = (1e-76, 1e76)
 
-    normalizer = 1.0 / (2.0 * np.pi)
 
-    def raw(self, t):
-        """Profile K(t) for t >= 0; vectorized, no normalizer."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("kernel argument must be nonnegative")
-        return self.raw_unchecked(t)
+def gaussian(t):
+    """The profile K(t) = exp(-t^2 / 2) for t >= 0, vectorized, without the
+    normalizer."""
+    return np.exp(-0.5 * t * t)
 
-    def raw_unchecked(self, t: np.ndarray) -> np.ndarray:
-        """raw() without the sign check, for a float array that is
-        nonnegative by construction, such as a distance ratio."""
-        return np.exp(-0.5 * t * t)
+
+def check_bandwidth(h: float):
+    """Refuse a KDE bandwidth outside BANDWIDTHS (nan included)."""
+    lo, hi = BANDWIDTHS
+    if not lo <= h <= hi:
+        raise ValueError(f"bandwidth h must lie in [{lo:g}, {hi:g}], "
+                         f"not {float(h)!r}")
 
 
 @dataclass(frozen=True)
@@ -97,13 +99,12 @@ def _weight_sums(data: np.ndarray, h: float, pts: np.ndarray, order: int) -> lis
     return sums
 
 
-def _kde_terms(kernel: KernelSpec, h: float, n: int, pts: np.ndarray,
-               sums: list) -> list:
+def _kde_terms(h: float, n: int, pts: np.ndarray, sums: list) -> list:
     """KDE value, gradient and Hessian at pts from the weight sums of an
     n-point cloud, as far as the sums go."""
     s0 = sums[0]
-    terms = [kernel.normalizer / (h * h * n) * s0]
-    c = kernel.normalizer / (h**4 * n)
+    terms = [NORMALIZER / (h * h * n) * s0]
+    c = NORMALIZER / (h**4 * n)
     if len(sums) > 1:
         s1 = sums[1]
         terms.append(-c * (pts * s0[:, None] - s1))
@@ -131,42 +132,39 @@ def _unbatch(x, terms: list) -> tuple:
     return tuple(terms)
 
 
-def _kde_derivatives(cloud, kernel: KernelSpec, h: float, x, order: int) -> tuple:
+def _kde_derivatives(cloud, h: float, x, order: int) -> tuple:
     if not isinstance(cloud, PointCloud):
         cloud = PointCloud(np.asarray(cloud))
-    if h <= 0:
-        raise ValueError("bandwidth h must be positive")
+    check_bandwidth(h)
     pts = as_points(x)
     sums = _weight_sums(cloud.points, h, pts, order)
-    return _unbatch(x, _kde_terms(kernel, h, cloud.n, pts, sums))
+    return _unbatch(x, _kde_terms(h, cloud.n, pts, sums))
 
 
-def kde_density(cloud: PointCloud, kernel: KernelSpec, h: float, x):
+def kde_density(cloud: PointCloud, h: float, x):
     """Kernel density estimate at x: mean over data of (c_K/h^2) K(||x - X_i|| / h)."""
-    return _kde_derivatives(cloud, kernel, h, x, 0)[0]
+    return _kde_derivatives(cloud, h, x, 0)[0]
 
 
-def kde_gradient(cloud: PointCloud, kernel: KernelSpec, h: float, x):
+def kde_gradient(cloud: PointCloud, h: float, x):
     """Analytic gradient of the KDE at x."""
-    return _kde_derivatives(cloud, kernel, h, x, 1)[1]
+    return _kde_derivatives(cloud, h, x, 1)[1]
 
 
-def kde_hessian(cloud: PointCloud, kernel: KernelSpec, h: float, x):
+def kde_hessian(cloud: PointCloud, h: float, x):
     """Analytic Hessian of the KDE at x; exactly symmetric by construction."""
-    return _kde_derivatives(cloud, kernel, h, x, 2)[2]
+    return _kde_derivatives(cloud, h, x, 2)[2]
 
 
 class KernelDensityField:
     """The KDE as an evaluable scalar field."""
 
-    def __init__(self, cloud: PointCloud, kernel: KernelSpec, h: float):
-        if h <= 0:
-            raise ValueError("bandwidth h must be positive")
+    def __init__(self, cloud: PointCloud, h: float):
+        check_bandwidth(h)
         self.cloud = cloud
-        self.kernel = kernel
         self.h = float(h)
 
     def derivatives(self, x, order: int) -> tuple:
         """(value, gradient, Hessian) at x up to `order` (0, 1 or 2), from one
         pass over the kernel weights."""
-        return _kde_derivatives(self.cloud, self.kernel, self.h, x, order)
+        return _kde_derivatives(self.cloud, self.h, x, order)

@@ -16,7 +16,7 @@ from .flow import (FlowConfig, find_critical_points, mean_shift_paths,
                    trace_ascent_paths)
 from .geometry import Segments, segment_distances
 from .grids import GridField, GridSpec
-from .kernels import KernelSpec, PointCloud
+from .kernels import PointCloud
 from .model import FilamentModel
 from .path_density import PathEnsemble, default_bandwidths, estimate_path_density
 
@@ -52,14 +52,14 @@ def model_flow_config(model: FilamentModel) -> FlowConfig:
                       min_displacement=1e-6 * sigma, max_halvings=30)
 
 
-def sample_and_trace(field, sampler: FilamentModel, n_mc: int,
-                     rng: np.random.Generator, cfg: FlowConfig | None = None,
+def sample_and_trace(model: FilamentModel, n_mc: int, rng: np.random.Generator,
+                     cfg: FlowConfig | None = None,
                      refine_disks=None) -> PathEnsemble:
-    """Draw n_mc points from the sampler and trace their ascent on `field`."""
+    """Draw n_mc points from the model and trace their ascent on its density."""
     if cfg is None:
-        cfg = model_flow_config(sampler)
-    cloud = sampler.sample(n_mc, rng)
-    return trace_ascent_paths(field, cloud.points, cfg, refine_disks=refine_disks)
+        cfg = model_flow_config(model)
+    cloud = model.sample(n_mc, rng)
+    return trace_ascent_paths(model, cloud.points, cfg, refine_disks=refine_disks)
 
 
 def ball_hit_estimate(segs: PathEnsemble, center, r: float) -> PathMeasureEstimate:
@@ -96,18 +96,17 @@ def point_density_estimate(segs: PathEnsemble, x, r1: float) -> PathDensityEstim
     return PathDensityEstimate(value=value, std_error=se, r1=r1, r2=float(r2), n_mc=n)
 
 
-def path_measure(field, sampler: FilamentModel, center, r: float, n_mc: int,
+def path_measure(model: FilamentModel, center, r: float, n_mc: int,
                  rng: np.random.Generator) -> PathMeasureEstimate:
     """Probability that the ascent path of a random draw meets the closed ball."""
-    segs = sample_and_trace(field, sampler, n_mc, rng,
-                            refine_disks=([center], [r]))
+    segs = sample_and_trace(model, n_mc, rng, refine_disks=([center], [r]))
     return ball_hit_estimate(segs, center, r)
 
 
-def path_density_oracle(field, sampler: FilamentModel, x, r1: float, n_mc: int,
+def path_density_oracle(model: FilamentModel, x, r1: float, n_mc: int,
                         rng: np.random.Generator) -> PathDensityEstimate:
     """Monte-Carlo path density at a regular point."""
-    segs = sample_and_trace(field, sampler, n_mc, rng, refine_disks=([x], [r1]))
+    segs = sample_and_trace(model, n_mc, rng, refine_disks=([x], [r1]))
     return point_density_estimate(segs, x, r1)
 
 
@@ -165,7 +164,7 @@ def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
     return counts.reshape(len(radii), grid.nx, grid.ny)
 
 
-def oracle_field(field, sampler: FilamentModel, grid: GridSpec, n_mc: int,
+def oracle_field(model: FilamentModel, grid: GridSpec, n_mc: int,
                  rng: np.random.Generator, r1: float | None = None,
                  cfg: FlowConfig | None = None, maxima=None,
                  segs: PathEnsemble | None = None) -> GridField:
@@ -177,12 +176,12 @@ def oracle_field(field, sampler: FilamentModel, grid: GridSpec, n_mc: int,
     ignored), so several rasters can share one set of paths.
     """
     if cfg is None:
-        cfg = model_flow_config(sampler)
+        cfg = model_flow_config(model)
     if r1 is None:
-        r1 = max(2.0 * cfg.step_scale, sampler.max_sigma / 20.0)
+        r1 = max(2.0 * cfg.step_scale, model.max_sigma / 20.0)
     r2 = 2.0 * r1
     if segs is None:
-        segs = sample_and_trace(field, sampler, n_mc, rng, cfg=cfg)
+        segs = sample_and_trace(model, n_mc, rng, cfg=cfg)
     counts = path_hit_counts(segs, grid, [r1, r2])
     f1 = counts[0] / segs.n_paths
     f2 = counts[1] / segs.n_paths
@@ -203,14 +202,14 @@ def true_path_ensemble(cloud: PointCloud, model: FilamentModel) -> PathEnsemble:
 
 
 def estimate_with_true_paths(cloud: PointCloud, model: FilamentModel,
-                             kernel: KernelSpec, nu: float, x):
+                             nu: float, x):
     """The path-density estimator fed with true-field paths of the data.
 
     Splits off the field-estimation error: comparing this against the full
     estimator isolates the effect of tracing on an estimated field.
     """
     ensemble = true_path_ensemble(cloud, model)
-    return estimate_path_density(ensemble, kernel, nu, x)
+    return estimate_path_density(ensemble, nu, x)
 
 
 @dataclass
@@ -270,7 +269,6 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
     expose more of the near-mode divergence as n grows and mask the decay).
     The truth raster is shared across runs.
     """
-    kernel = KernelSpec()
     seq = np.random.SeedSequence(seed)
     oracle_seed, *run_seeds = seq.spawn(1 + len(n_list) * replicates)
 
@@ -279,7 +277,7 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
     excl = np.asarray([c.location for c in crit
                        if c.kind in ("maximum", "saddle")], dtype=float)
 
-    segs = sample_and_trace(model, model, oracle_n_mc,
+    segs = sample_and_trace(model, oracle_n_mc,
                             np.random.default_rng(oracle_seed), cfg=cfg_true)
     counts = path_hit_counts(segs, probe_grid, [oracle_r1, 2 * oracle_r1])
     truth = np.maximum(2.0 * counts[0] / (oracle_n_mc * oracle_r1)
@@ -302,8 +300,8 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
             cloud = model.sample(int(n), rng)
             bw = default_bandwidths(cloud.n, cloud.spread)
             nu_max = max(nu_max, bw.nu)
-            ensemble = mean_shift_paths(cloud, kernel, bw.h, cloud.points)
-            est = estimate_path_density(ensemble, kernel, bw.nu, nodes)
+            ensemble = mean_shift_paths(cloud, bw.h, cloud.points)
+            est = estimate_path_density(ensemble, bw.nu, nodes)
             runs.append((int(n), rep, est))
 
     keep = d_excl > 2.0 * nu_max

@@ -12,7 +12,7 @@ import numpy as np
 
 from .geometry import Segments, as_points, segment_distances
 from .grids import GridField, GridSpec
-from .kernels import KernelSpec
+from .kernels import gaussian
 from .parallel import map_indexed
 
 
@@ -157,23 +157,22 @@ class PathEnsemble:
         return np.sqrt(out, out=out)
 
 
-def estimate_path_density(ensemble: PathEnsemble, kernel: KernelSpec,
-                          nu: float, x):
+def estimate_path_density(ensemble: PathEnsemble, nu: float, x):
     """Mean over paths of K(distance / nu) / nu at the query point(s)."""
     if nu <= 0:
         raise ValueError("nu must be positive")
     d = ensemble.distances(x)
-    vals = kernel.raw_unchecked(d / nu).mean(axis=1) / nu
+    vals = gaussian(d / nu).mean(axis=1) / nu
     return float(vals[0]) if np.ndim(x) == 1 else vals
 
 
-def path_density_field(ensemble: PathEnsemble, kernel: KernelSpec, nu: float,
-                       grid: GridSpec, workers: int | None = None) -> GridField:
+def path_density_field(ensemble: PathEnsemble, nu: float, grid: GridSpec,
+                       workers: int | None = None) -> GridField:
     """The path-density estimate rasterized over every grid node."""
     nodes = grid.nodes()
     chunk = 256  # fixed: output must not depend on the worker count
     blocks = [nodes[s:s + chunk] for s in range(0, len(nodes), chunk)]
-    parts = map_indexed(lambda b: estimate_path_density(ensemble, kernel, nu, b),
+    parts = map_indexed(lambda b: estimate_path_density(ensemble, nu, b),
                         blocks, workers=workers)
     values = np.concatenate(parts).reshape(grid.nx, grid.ny)
     return GridField(spec=grid, values=values)

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from pathdensity.kernels import KernelSpec, PointCloud
+from pathdensity.kernels import PointCloud
 from pathdensity.oracle import point_density_terms
 from pathdensity.path_density import PathEnsemble
 
@@ -53,11 +53,6 @@ def fd_hessian(gradient_fn, x, step):
                     / (2 * step))
     H = np.column_stack(cols)
     return 0.5 * (H + H.T)
-
-
-@pytest.fixture(scope="session")
-def gaussian_kernel():
-    return KernelSpec()
 
 
 @pytest.fixture(scope="session")

@@ -23,8 +23,8 @@ from pathdensity.cli import main as cli_main
 from pathdensity.flow import (FlowConfig, find_critical_points,
                               mean_shift_paths, trace_ascent_paths)
 from pathdensity.grids import GridSpec
-from pathdensity.kernels import (KernelSpec, PointCloud, kde_density,
-                                 kde_gradient, kde_hessian)
+from pathdensity.kernels import (PointCloud, kde_density, kde_gradient,
+                                 kde_hessian)
 from pathdensity.levelset import (PlanarSet, containment_check,
                                   directed_hausdorff, level_set,
                                   quantile_threshold, set_distance_consistency)
@@ -39,8 +39,6 @@ from pathdensity.path_density import (default_bandwidths,
 
 from conftest import (QuadraticPeakField, fd_gradient, fd_hessian,
                       saddle_four_sum)
-
-KERNEL = KernelSpec()
 
 TG_SIGMA = 0.5
 # tangent directions at the saddle scale with the Hessian eigenvalues:
@@ -74,8 +72,7 @@ def tg_batch(tg_model):
         + [tuple(p) for p in LINEARITY_PROBES]
     radii = [FOUR_SUM_R1] * (1 + len(FOUR_SUM_POINTS)) \
         + [LINEARITY_R0] * len(LINEARITY_PROBES)
-    return sample_and_trace(tg_model, tg_model, 400_000,
-                            np.random.default_rng(101),
+    return sample_and_trace(tg_model, 400_000, np.random.default_rng(101),
                             refine_disks=(centers, radii))
 
 
@@ -95,7 +92,7 @@ def pentagon_critical(pentagon):
 @pytest.fixture(scope="module")
 def pentagon_segs(pentagon):
     model, _ = pentagon
-    return sample_and_trace(model, model, 10_000, np.random.default_rng(7))
+    return sample_and_trace(model, 10_000, np.random.default_rng(7))
 
 
 # -- 1. quadratic-flow exactness ----------------------------------------------
@@ -129,11 +126,11 @@ def test_criterion_2_derivative_oracles(pentagon):
     h = 0.45
     step = 1e-5 * h
     for x in rng.uniform(-1.5, 1.5, (100, 2)):
-        g = kde_gradient(cloud, KERNEL, h, x)
-        fd = fd_gradient(lambda p: kde_density(cloud, KERNEL, h, p), x, step)
+        g = kde_gradient(cloud, h, x)
+        fd = fd_gradient(lambda p: kde_density(cloud, h, p), x, step)
         assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(g)
-        H = kde_hessian(cloud, KERNEL, h, x)
-        fdH = fd_hessian(lambda p: kde_gradient(cloud, KERNEL, h, p), x, step)
+        H = kde_hessian(cloud, h, x)
+        fdH = fd_hessian(lambda p: kde_gradient(cloud, h, p), x, step)
         assert np.linalg.norm(H - fdH) <= 1e-5 * np.linalg.norm(H)
 
     model, _ = pentagon
@@ -158,7 +155,7 @@ def test_criterion_3_density_normalization(pentagon):
     hi = cloud.points.max() + 8 * h
     xs = np.linspace(lo, hi, 240)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    vals = kde_density(cloud, KERNEL, h,
+    vals = kde_density(cloud, h,
                        np.column_stack([gx.ravel(), gy.ravel()])).reshape(240, 240)
     kde_total = np.trapezoid(np.trapezoid(vals, xs, axis=1), xs)
     assert abs(kde_total - 1.0) < 1e-3
@@ -188,7 +185,7 @@ def test_criterion_4b_constructed_minimum():
     cfg = FlowConfig(step_scale=0.1, grad_tolerance=1e-10, min_displacement=1e-12)
     crit = find_critical_points(model, model.box, cfg)
     minimum = next(c for c in crit if c.kind == "minimum")
-    segs = sample_and_trace(model, model, 100_000, np.random.default_rng(13),
+    segs = sample_and_trace(model, 100_000, np.random.default_rng(13),
                             refine_disks=([minimum.location], [0.02]))
     est = point_density_estimate(segs, minimum.location, 0.02)
     assert abs(est.value) <= 3 * est.std_error + 1e-9
@@ -201,8 +198,7 @@ def test_criterion_4c_ray_monotone(tg_model):
     seq = np.random.SeedSequence(606)
     vals = np.empty((20, 3))
     for rep, child in enumerate(seq.spawn(20)):
-        segs = sample_and_trace(tg_model, tg_model, 20_000,
-                                np.random.default_rng(child))
+        segs = sample_and_trace(tg_model, 20_000, np.random.default_rng(child))
         for j, p in enumerate(probes):
             vals[rep, j] = point_density_estimate(segs, p, 0.02).value
     med = np.median(vals, axis=0)
@@ -290,7 +286,7 @@ def test_criterion_7_containment(pentagon, pentagon_critical, pentagon_segs):
     maxima = [c.location for c in pentagon_critical if c.kind == "maximum"]
     saddles = [c.location for c in pentagon_critical if c.kind == "saddle"]
     grid = GridSpec(0.0, 1.0, 0.0, 1.0, 200, 200)
-    fld = oracle_field(model, model, grid, 0, None, maxima=maxima,
+    fld = oracle_field(model, grid, 0, None, maxima=maxima,
                        segs=pentagon_segs)
     lam = quantile_threshold(fld, cloud, 0.9)
     ls = level_set(fld, lam)
@@ -341,7 +337,7 @@ def test_criterion_9_levelset_distance_trend(pentagon, pentagon_segs):
     t0 = time.time()
     model, ref_cloud = pentagon
     grid = GridSpec(0.0, 1.0, 0.0, 1.0, 64, 64)
-    ofld = oracle_field(model, model, grid, 0, None, segs=pentagon_segs)
+    ofld = oracle_field(model, grid, 0, None, segs=pentagon_segs)
     q = 0.85
     lam_true = quantile_threshold(ofld, ref_cloud, q)
     true_set = level_set(ofld, lam_true)
@@ -355,9 +351,9 @@ def test_criterion_9_levelset_distance_trend(pentagon, pentagon_segs):
             k += 1
             cloud = model.sample(n, rng)
             bw = default_bandwidths(cloud.n, cloud.spread)
-            paths = mean_shift_paths(cloud, KERNEL, bw.h, cloud.points,
+            paths = mean_shift_paths(cloud, bw.h, cloud.points,
                                      min_displacement=1e-3 * bw.h)
-            fld = path_density_field(paths, KERNEL, bw.nu, grid)
+            fld = path_density_field(paths, bw.nu, grid)
             est_set = level_set(fld, quantile_threshold(fld, cloud, q))
             ds.append(set_distance_consistency(true_set, est_set))
         medians[n] = float(np.median(ds))

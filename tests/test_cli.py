@@ -272,6 +272,17 @@ def test_mean_shift_underflow_exits_4(pentagon_points, tmp_path, capsys,
     assert "underflowed" in capsys.readouterr().err
 
 
+def test_bandwidth_below_coordinate_resolution_exits_4_naming_h(
+        flag_inputs, tmp_path, capsys):
+    # every start is a data point, but the expanded squared distance of a
+    # point to itself rounds to about 1e-16, whose weight underflows here
+    assert run("estimate", "--points", str(flag_inputs / "points.csv"),
+               "--h", "1e-12", "--nu", "0.05", "--grid", "8",
+               "--out", str(tmp_path / "o")) == 4
+    err = capsys.readouterr().err
+    assert "h = 1e-12" in err and "resolution of the coordinates" in err
+
+
 def test_estimate_deterministic_across_worker_counts(pentagon_points, tmp_path,
                                                      monkeypatch):
     outs = []
@@ -419,6 +430,49 @@ def test_config_file_supplies_defaults(tmp_path):
     assert run("--config", str(cfg), "simulate") == 0
     pts = (tmp_path / "sim" / "points.csv").read_text().splitlines()
     assert len(pts) == 78
+
+
+def test_config_numbers_give_the_bytes_of_the_flags(flag_inputs, tmp_path):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"grid": 12, "quantile": 0.85, "h": 0.1}))
+    points = str(flag_inputs / "points.csv")
+    assert run("--config", str(cfg), "estimate", "--points", points,
+               "--out", str(tmp_path / "a")) == 0
+    assert run("estimate", "--points", points, "--grid", "12", "--quantile",
+               "0.85", "--h", "0.1", "--out", str(tmp_path / "b")) == 0
+    for name in ("field.csv", "levelset.csv", "estimate.json"):
+        assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name), name
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", {"seed": 1.5}),
+    ("simulate", {"seed": True}),
+    ("estimate", {"quantile": None}),
+    ("estimate", {"grid": 12.7}),
+    ("oracle", {"n_mc": 5.5, "seed": 1}),
+    ("oracle", {"r1": {"value": 0.1}, "seed": 1}),
+    ("converge", {"n": 200, "seed": 1}),
+    ("converge", {"probes": [8, 8], "seed": 1}),
+])
+def test_config_value_of_the_wrong_type_exits_2(flag_inputs, two_gaussian_json,
+                                                tmp_path, capsys, command,
+                                                config):
+    # every value reaches its flag as the string the command line would give
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(config))
+    inputs = {"simulate": [], "converge": [],
+              "estimate": ["--points", str(flag_inputs / "points.csv")],
+              "oracle": ["--model-json", str(two_gaussian_json)]}[command]
+    try:
+        code = main(["--config", str(cfg), command, *inputs,
+                     "--out", str(tmp_path / "o")])
+    except SystemExit as e:  # argparse refusing a converted value
+        code = e.code
+    assert code == 2
+    assert not (tmp_path / "o").exists()
+    key = next(iter(config))
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err or f"--{key.replace('_', '-')}" in err
 
 
 def test_config_rejects_keys_no_flag_uses(two_gaussian_json, tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -7,7 +9,7 @@ from pathdensity.flow import (TRIM_FRACTION, FlowConfig, FlowNumericalError,
                               find_critical_points, kde_flow_config,
                               mean_shift_paths, trace_ascent_paths)
 from pathdensity.geometry import convex_hull_contains
-from pathdensity.kernels import KernelSpec, PointCloud
+from pathdensity.kernels import PointCloud
 from pathdensity.model import cluster_model, random_pentagon_model, two_gaussian_model
 from pathdensity.oracle import model_flow_config
 
@@ -96,66 +98,62 @@ def test_min_distances_on_segments():
 
 # -- mean shift ---------------------------------------------------------------
 
-def test_kde_flow_config_refuses_a_zero_peak(gaussian_kernel, monkeypatch):
+def test_kde_flow_config_refuses_a_zero_peak(monkeypatch):
     # far below the point spacing, rounding in the squared self-distances
     # can underflow every kernel weight, so that the KDE peak reads 0
-    import pathdensity.kernels as kernels
+    import pathdensity.flow as flow
 
-    monkeypatch.setattr(kernels, "kde_density", lambda *args: np.zeros(2))
+    monkeypatch.setattr(flow, "_kde_derivatives", lambda *args: (np.zeros(2),))
     cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.5]]))
     with pytest.raises(FlowNumericalError, match="gradient tolerance"):
-        kde_flow_config(cloud, gaussian_kernel, 1e-20)
+        kde_flow_config(cloud, 1e-20)
 
 
-def test_mean_shift_single_point_converges_in_one_step(gaussian_kernel):
+def test_mean_shift_single_point_converges_in_one_step():
     cloud = PointCloud(np.array([[0.7, -0.3]]))
-    p = mean_shift_paths(cloud, gaussian_kernel, 0.5, [[5.0, 5.0]],
-                         min_displacement=1e-10)[0]
+    p = mean_shift_paths(cloud, 0.5, [[5.0, 5.0]], min_displacement=1e-10)[0]
     np.testing.assert_allclose(p.vertices[1], [0.7, -0.3], rtol=4e-16)
     assert p.converged
 
 
-def test_mean_shift_symmetric_pair_stays_on_axis(gaussian_kernel):
+def test_mean_shift_symmetric_pair_stays_on_axis():
     cloud = PointCloud(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    p = mean_shift_paths(cloud, gaussian_kernel, 1.0, [[0.0, 0.3]],
+    p = mean_shift_paths(cloud, 1.0, [[0.0, 0.3]],
                          min_displacement=1e-12, max_steps=200)[0]
     assert np.max(np.abs(p.vertices[:, 0])) < 1e-12
 
 
-def test_mean_shift_underflow_raises(gaussian_kernel):
+def test_mean_shift_underflow_raises():
     cloud = PointCloud(np.array([[0.0, 0.0]]))
     with pytest.raises(MeanShiftUnderflowError):
-        mean_shift_paths(cloud, gaussian_kernel, 0.1, [[500.0, 0.0]],
-                         min_displacement=1e-10)
+        mean_shift_paths(cloud, 0.1, [[500.0, 0.0]], min_displacement=1e-10)
 
 
-def test_mean_shift_pentagon_terminals_are_modes(gaussian_kernel):
+def test_mean_shift_pentagon_terminals_are_modes():
     model, cloud = random_pentagon_model(np.random.default_rng(11), n=200)
     h = 0.08
-    paths = mean_shift_paths(cloud, gaussian_kernel, h, cloud.points,
+    paths = mean_shift_paths(cloud, h, cloud.points,
                              min_displacement=1e-12, max_steps=2000)
     worst = max(p.terminal_gradient_norm for p in paths)
     assert worst < 1e-6
     assert all(p.converged for p in paths)
 
 
-def test_mean_shift_and_flow_reach_the_same_mode(gaussian_kernel):
+def test_mean_shift_and_flow_reach_the_same_mode():
     from pathdensity.kernels import KernelDensityField
 
     model, cloud = random_pentagon_model(np.random.default_rng(15), n=150)
     h = 0.09
-    cfg = kde_flow_config(cloud, gaussian_kernel, h, min_displacement=1e-10)
-    field = KernelDensityField(cloud, gaussian_kernel, h)
+    cfg = replace(kde_flow_config(cloud, h), min_displacement=1e-10)
+    field = KernelDensityField(cloud, h)
     for x0 in cloud.points[[3, 40, 77]]:
-        ms = mean_shift_paths(cloud, gaussian_kernel, h, [x0],
-                              min_displacement=1e-10)[0]
+        ms = mean_shift_paths(cloud, h, [x0], min_displacement=1e-10)[0]
         ode = trace_ascent_paths(field, [x0], cfg)[0]
         assert np.hypot(*(ms.end - ode.end)) < 1e-3 * h
 
 
 @pytest.mark.parametrize("tracer", ["meanshift", "flow"])
-def test_converged_flag_tells_cut_paths_from_finished_ones(gaussian_kernel,
-                                                           tracer):
+def test_converged_flag_tells_cut_paths_from_finished_ones(tracer):
     # kde_flow_config stops paths on min_displacement before the gradient
     # test, so a finished path must read converged even when its terminal
     # gradient is above grad_tolerance
@@ -167,10 +165,9 @@ def test_converged_flag_tells_cut_paths_from_finished_ones(gaussian_kernel,
 
     def trace(**overrides):
         if tracer == "meanshift":
-            return mean_shift_paths(cloud, gaussian_kernel, h, starts, **overrides)
-        cfg = kde_flow_config(cloud, gaussian_kernel, h, **overrides)
-        return trace_ascent_paths(KernelDensityField(cloud, gaussian_kernel, h),
-                                  starts, cfg)
+            return mean_shift_paths(cloud, h, starts, **overrides)
+        cfg = replace(kde_flow_config(cloud, h), **overrides)
+        return trace_ascent_paths(KernelDensityField(cloud, h), starts, cfg)
 
     assert not any(p.converged for p in trace(max_steps=2))
     assert all(p.converged for p in trace())
@@ -185,7 +182,7 @@ def _trim_hint(values, fraction):
 
 
 @pytest.mark.parametrize("max_steps", [3, 10_000], ids=["cut", "finished"])
-def test_mean_shift_trim_hint_matches_vertex_values(gaussian_kernel, max_steps):
+def test_mean_shift_trim_hint_matches_vertex_values(max_steps):
     # mean shift takes each vertex's value from the weight sums of the next
     # step (the last vertex's from a terminal pass): the trim hint must still
     # be the one the KDE at the path's own vertices gives
@@ -193,21 +190,19 @@ def test_mean_shift_trim_hint_matches_vertex_values(gaussian_kernel, max_steps):
 
     model, cloud = random_pentagon_model(np.random.default_rng(4), n=150)
     h = 0.1
-    paths = mean_shift_paths(cloud, gaussian_kernel, h, cloud.points,
-                             max_steps=max_steps)
+    paths = mean_shift_paths(cloud, h, cloud.points, max_steps=max_steps)
     assert all(p.converged == (max_steps > 3) for p in paths)
     for p in paths:
-        vals = kde_density(cloud, gaussian_kernel, h, p.vertices)
+        vals = kde_density(cloud, h, p.vertices)
         assert p.trim_hint == _trim_hint(vals, TRIM_FRACTION)
 
 
-def test_mean_shift_ascends_kde(gaussian_kernel):
+def test_mean_shift_ascends_kde():
     from pathdensity.kernels import kde_density
 
     model, cloud = random_pentagon_model(np.random.default_rng(4), n=150)
-    p = mean_shift_paths(cloud, gaussian_kernel, 0.1, [cloud.points[17]],
-                         min_displacement=1e-9)[0]
-    vals = kde_density(cloud, gaussian_kernel, 0.1, p.vertices)
+    p = mean_shift_paths(cloud, 0.1, [cloud.points[17]], min_displacement=1e-9)[0]
+    vals = kde_density(cloud, 0.1, p.vertices)
     assert np.all(np.diff(vals) >= -1e-12)
 
 

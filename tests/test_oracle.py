@@ -3,7 +3,7 @@ import pytest
 
 from pathdensity.flow import FlowConfig, find_critical_points
 from pathdensity.grids import GridSpec
-from pathdensity.kernels import KernelSpec, PointCloud
+from pathdensity.kernels import PointCloud
 from pathdensity.model import cluster_model, two_gaussian_model
 from pathdensity.oracle import (ball_hit_estimate, convergence_experiment,
                                 estimate_with_true_paths, model_flow_config,
@@ -32,16 +32,15 @@ def triangle_critical(triangle_model):
 def triangle_batch(triangle_model, triangle_critical):
     minimum = next(c for c in triangle_critical if c.kind == "minimum")
     disks = ([minimum.location, (0.0, 1.0)], [0.05, 1.5])
-    return sample_and_trace(triangle_model, triangle_model, 20_000,
-                            np.random.default_rng(5), refine_disks=disks)
+    return sample_and_trace(triangle_model, 20_000, np.random.default_rng(5),
+                            refine_disks=disks)
 
 
 # -- path measure -------------------------------------------------------------
 
 def test_single_gaussian_ball_captures_all_paths():
     model = cluster_model([(0.0, 0.0)], 0.4, (-3, 3, -3, 3))
-    est = path_measure(model, model, (0.0, 0.0), 3 * 0.4, 2000,
-                       np.random.default_rng(1))
+    est = path_measure(model, (0.0, 0.0), 3 * 0.4, 2000, np.random.default_rng(1))
     assert est.value == 1.0
 
 
@@ -96,8 +95,8 @@ def test_density_vanishes_at_local_minimum(triangle_model, triangle_critical,
 def test_density_estimate_deterministic():
     model = two_gaussian_model()
     kw = dict(r1=0.03, n_mc=2000)
-    a = path_density_oracle(model, model, (0.5, 0.3), rng=np.random.default_rng(9), **kw)
-    b = path_density_oracle(model, model, (0.5, 0.3), rng=np.random.default_rng(9), **kw)
+    a = path_density_oracle(model, (0.5, 0.3), rng=np.random.default_rng(9), **kw)
+    b = path_density_oracle(model, (0.5, 0.3), rng=np.random.default_rng(9), **kw)
     assert a.value == b.value
     assert a.std_error == b.std_error
 
@@ -123,7 +122,7 @@ def test_hit_fraction_linear_in_radius(triangle_batch):
 
 def test_hit_counts_match_direct_distances():
     model = two_gaussian_model()
-    segs = sample_and_trace(model, model, 500, np.random.default_rng(3))
+    segs = sample_and_trace(model, 500, np.random.default_rng(3))
     grid = GridSpec(-2.0, 2.0, -1.5, 1.5, 9, 7)
     counts = path_hit_counts(segs, grid, [0.05, 0.1])
     nodes = grid.nodes()
@@ -135,7 +134,7 @@ def test_hit_counts_match_direct_distances():
 def test_oracle_field_nonnegative_with_saturation():
     model = two_gaussian_model()
     grid = GridSpec(-2.0, 2.0, -1.5, 1.5, 25, 19)
-    fld = oracle_field(model, model, grid, 2000, np.random.default_rng(4),
+    fld = oracle_field(model, grid, 2000, np.random.default_rng(4),
                        maxima=[(-1.0, 0.0), (1.0, 0.0)])
     assert np.all(fld.values >= 0)
     assert fld.saturated is not None and fld.saturated.any()
@@ -154,10 +153,8 @@ def test_true_path_estimate_concentrates_at_cluster_center():
     model = cluster_model([(0.0, 0.0)], 0.3, (-2, 2, -2, 2))
     cloud = model.sample(400, np.random.default_rng(6))
     nu = 0.1
-    kernel = KernelSpec()
-    at_center = estimate_with_true_paths(cloud, model, kernel, nu, np.zeros(2))
-    far = estimate_with_true_paths(cloud, model, kernel, nu,
-                                   np.array([5 * 0.3, 0.0]))
+    at_center = estimate_with_true_paths(cloud, model, nu, np.zeros(2))
+    far = estimate_with_true_paths(cloud, model, nu, np.array([5 * 0.3, 0.0]))
     assert at_center > far
     assert far >= 0.0
 
@@ -165,13 +162,12 @@ def test_true_path_estimate_concentrates_at_cluster_center():
 def test_true_path_estimate_permutation_invariant():
     model = cluster_model([(0.0, 0.0)], 0.3, (-2, 2, -2, 2))
     cloud = model.sample(100, np.random.default_rng(2))
-    kernel = KernelSpec()
     ens = true_path_ensemble(cloud, model)
     x = np.array([0.2, 0.1])
-    a = estimate_path_density(ens, kernel, 0.1, x)
+    a = estimate_path_density(ens, 0.1, x)
     perm = np.random.default_rng(0).permutation(cloud.n)
     ens2 = true_path_ensemble(PointCloud(cloud.points[perm]), model)
-    b = estimate_path_density(ens2, kernel, 0.1, x)
+    b = estimate_path_density(ens2, 0.1, x)
     assert b == pytest.approx(a, rel=1e-12)
 
 
@@ -181,18 +177,17 @@ def test_coarse_kde_paths_track_true_paths_better_than_fine():
     from pathdensity.flow import mean_shift_paths
 
     model = two_gaussian_model()
-    kernel = KernelSpec()
     nu = 0.3
     probes = np.array([[x, y] for x in np.linspace(-2, 2, 7)
                        for y in np.linspace(-1.5, 1.5, 5)])
     gaps = {}
     for rep in range(2):
         cloud = model.sample(800, np.random.default_rng(300 + rep))
-        pstar = estimate_path_density(true_path_ensemble(cloud, model),
-                                      kernel, nu, probes)
+        pstar = estimate_path_density(true_path_ensemble(cloud, model), nu,
+                                      probes)
         for h in (0.4, 0.1):
-            paths = mean_shift_paths(cloud, kernel, h, cloud.points)
-            est = estimate_path_density(paths, kernel, nu, probes)
+            paths = mean_shift_paths(cloud, h, cloud.points)
+            est = estimate_path_density(paths, nu, probes)
             gaps.setdefault(h, []).append(np.median(np.abs(est - pstar)))
     assert np.median(gaps[0.4]) < np.median(gaps[0.1])
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pathdensity import path_density
 from pathdensity.geometry import Segments, segment_distances
 from pathdensity.grids import GridSpec
-from pathdensity.kernels import KernelSpec
+from pathdensity.kernels import gaussian
 from pathdensity.path_density import (BandwidthPlan, default_bandwidths,
                                       estimate_path_density,
                                       path_density_field)
@@ -85,31 +85,31 @@ def test_distances_equal_per_path_min_of_segment_distances(paths, data, block):
 
 # -- estimator ----------------------------------------------------------------
 
-def test_identical_degenerate_paths(gaussian_kernel):
+def test_identical_degenerate_paths():
     z = np.array([0.25, -0.5])
     ens = degenerate_ensemble(z, n=9)
     x = np.array([1.0, 0.5])
     nu = 0.3
-    expected = gaussian_kernel.raw(np.hypot(*(x - z)) / nu) / nu
-    assert estimate_path_density(ens, gaussian_kernel, nu, x) == pytest.approx(
+    expected = gaussian(np.hypot(*(x - z)) / nu) / nu
+    assert estimate_path_density(ens, nu, x) == pytest.approx(
         expected, rel=1e-14)
 
 
-def test_far_point_tail_bound(gaussian_kernel):
+def test_far_point_tail_bound():
     ens = degenerate_ensemble([0.0, 0.0])
     nu = 0.05
     x = np.array([25.0 * nu, 0.0])
-    assert estimate_path_density(ens, gaussian_kernel, nu, x) < 1e-80 / nu
+    assert estimate_path_density(ens, nu, x) < 1e-80 / nu
 
 
-def test_permutation_invariance(gaussian_kernel):
+def test_permutation_invariance():
     rng = np.random.default_rng(8)
     paths = [rng.standard_normal((5, 2)).cumsum(axis=0) for _ in range(12)]
     x = np.array([0.3, 0.3])
-    a = estimate_path_density(polyline_ensemble(paths), gaussian_kernel, 0.2, x)
+    a = estimate_path_density(polyline_ensemble(paths), 0.2, x)
     order = rng.permutation(len(paths))
     b = estimate_path_density(polyline_ensemble([paths[i] for i in order]),
-                              gaussian_kernel, 0.2, x)
+                              0.2, x)
     assert b == pytest.approx(a, rel=1e-13)
 
 
@@ -118,13 +118,12 @@ def test_empty_ensemble_rejected():
         polyline_ensemble([])
 
 
-def test_nonpositive_nu_rejected(gaussian_kernel):
+def test_nonpositive_nu_rejected():
     with pytest.raises(ValueError):
-        estimate_path_density(degenerate_ensemble([0, 0]), gaussian_kernel,
-                              0.0, [0.0, 0.0])
+        estimate_path_density(degenerate_ensemble([0, 0]), 0.0, [0.0, 0.0])
 
 
-def test_lipschitz_in_query_point(gaussian_kernel):
+def test_lipschitz_in_query_point():
     rng = np.random.default_rng(3)
     ens = polyline_ensemble([rng.standard_normal((6, 2)).cumsum(axis=0)
                              for _ in range(10)])
@@ -133,16 +132,16 @@ def test_lipschitz_in_query_point(gaussian_kernel):
     for _ in range(50):
         x = rng.uniform(-2, 2, 2)
         y = x + rng.uniform(-0.1, 0.1, 2)
-        dp = abs(estimate_path_density(ens, gaussian_kernel, nu, x)
-                 - estimate_path_density(ens, gaussian_kernel, nu, y))
+        dp = abs(estimate_path_density(ens, nu, x)
+                 - estimate_path_density(ens, nu, y))
         assert dp <= lip * np.hypot(*(x - y)) + 1e-12
 
 
-def test_monotone_in_nu_at_far_point(gaussian_kernel):
+def test_monotone_in_nu_at_far_point():
     ens = degenerate_ensemble([0.0, 0.0])
     x = np.array([3.0, 0.0])
     nus = np.linspace(0.01, 1.0, 25)
-    vals = np.array([estimate_path_density(ens, gaussian_kernel, nu, x)
+    vals = np.array([estimate_path_density(ens, nu, x)
                      for nu in nus])
     # growing in nu throughout; strictly so once above the underflow floor
     assert np.all(np.diff(vals) >= 0)
@@ -151,43 +150,43 @@ def test_monotone_in_nu_at_far_point(gaussian_kernel):
     assert np.all(np.diff(vals[pos]) > 0)
 
 
-def test_nonnegative_everywhere(gaussian_kernel):
+def test_nonnegative_everywhere():
     rng = np.random.default_rng(12)
     paths = [rng.standard_normal((4, 2)) for _ in range(6)]
     pts = rng.uniform(-3, 3, (100, 2))
-    vals = estimate_path_density(polyline_ensemble(paths), gaussian_kernel, 0.3, pts)
+    vals = estimate_path_density(polyline_ensemble(paths), 0.3, pts)
     assert np.all(vals >= 0)
 
 
 # -- raster -------------------------------------------------------------------
 
-def test_field_max_at_node_nearest_shared_point(gaussian_kernel):
+def test_field_max_at_node_nearest_shared_point():
     z = [0.301, 0.702]
     ens = degenerate_ensemble(z)
     grid = GridSpec(0.0, 1.0, 0.0, 1.0, 21, 21)
-    fld = path_density_field(ens, gaussian_kernel, 0.1, grid)
+    fld = path_density_field(ens, 0.1, grid)
     i, j = fld.max_node()
     assert abs(grid.xs()[i] - z[0]) <= grid.dx / 2 + 1e-12
     assert abs(grid.ys()[j] - z[1]) <= grid.dy / 2 + 1e-12
 
 
-def test_field_nodes_stable_under_refinement(gaussian_kernel):
+def test_field_nodes_stable_under_refinement():
     rng = np.random.default_rng(2)
     ens = polyline_ensemble([rng.standard_normal((5, 2)).cumsum(axis=0) * 0.2 + 0.5
                              for _ in range(8)])
     coarse = GridSpec(0.0, 1.0, 0.0, 1.0, 11, 11)
     fine = GridSpec(0.0, 1.0, 0.0, 1.0, 21, 21)  # shares every coarse node
-    f1 = path_density_field(ens, gaussian_kernel, 0.2, coarse)
-    f2 = path_density_field(ens, gaussian_kernel, 0.2, fine)
+    f1 = path_density_field(ens, 0.2, coarse)
+    f2 = path_density_field(ens, 0.2, fine)
     np.testing.assert_allclose(f1.values, f2.values[::2, ::2], atol=1e-15)
 
 
-def test_field_worker_count_does_not_change_values(gaussian_kernel):
+def test_field_worker_count_does_not_change_values():
     rng = np.random.default_rng(6)
     ens = polyline_ensemble([rng.standard_normal((5, 2)) for _ in range(7)])
     grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 40, 40)
-    f1 = path_density_field(ens, gaussian_kernel, 0.3, grid, workers=1)
-    f8 = path_density_field(ens, gaussian_kernel, 0.3, grid, workers=8)
+    f1 = path_density_field(ens, 0.3, grid, workers=1)
+    f8 = path_density_field(ens, 0.3, grid, workers=8)
     np.testing.assert_array_equal(f1.values, f8.values)
 
 

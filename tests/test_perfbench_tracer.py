@@ -42,11 +42,14 @@ def sims(tmp_path_factory):
     return out
 
 
-def test_tracer_runs_estimate(sims, tmp_path):
+@pytest.mark.parametrize("tracer", ["meanshift", "flow"])
+def test_tracer_runs_estimate(sims, tmp_path, tracer):
     names = traced(tmp_path, "estimate", "--points",
                    sims / "pentagon" / "points.csv", "--out", tmp_path / "o",
-                   "--grid", "12")
-    assert {"flow.mean_shift_paths", "path_density.path_density_field"} <= names
+                   "--grid", "12", "--tracer", tracer)
+    tracing = {"meanshift": "flow.mean_shift_paths",
+               "flow": "flow.kde_flow_config"}[tracer]
+    assert {tracing, "path_density.path_density_field"} <= names
 
 
 def test_tracer_runs_oracle(sims, tmp_path):

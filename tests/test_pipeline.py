@@ -4,21 +4,18 @@ import numpy as np
 
 from pathdensity.flow import mean_shift_paths
 from pathdensity.grids import GridSpec
-from pathdensity.kernels import KernelSpec
 from pathdensity.levelset import level_set, quantile_threshold
 from pathdensity.model import random_pentagon_model
 from pathdensity.path_density import default_bandwidths, path_density_field
-
-KERNEL = KernelSpec()
 
 
 def test_pentagon_level_set_is_sparse_and_near_structure():
     model, cloud = random_pentagon_model(np.random.default_rng(3), n=300)
     bw = default_bandwidths(cloud.n, cloud.spread)
-    paths = mean_shift_paths(cloud, KERNEL, bw.h, cloud.points,
+    paths = mean_shift_paths(cloud, bw.h, cloud.points,
                              min_displacement=1e-3 * bw.h)
     grid = GridSpec.from_bounds(cloud.bounds(margin=0.05), 60)
-    fld = path_density_field(paths, KERNEL, bw.nu, grid)
+    fld = path_density_field(paths, bw.nu, grid)
     lam = quantile_threshold(fld, cloud, 0.9)
     mask_set = level_set(fld, lam)
     assert not mask_set.is_empty
@@ -35,7 +32,7 @@ def test_pentagon_level_set_is_sparse_and_near_structure():
 def test_paths_have_distinct_consecutive_vertices():
     model, cloud = random_pentagon_model(np.random.default_rng(8), n=120)
     bw = default_bandwidths(cloud.n, cloud.spread)
-    paths = mean_shift_paths(cloud, KERNEL, bw.h, cloud.points)
+    paths = mean_shift_paths(cloud, bw.h, cloud.points)
     for p in paths:
         steps = np.hypot(*np.diff(p.vertices, axis=0).T)
         assert np.all(steps > 0)
