@@ -245,6 +245,10 @@ def cmd_estimate(args) -> int:
         raise UsageError(f"unknown tracer {args.tracer!r}")
     if args.workers is not None and args.workers < 1:
         raise UsageError("--workers must be at least 1")
+    try:
+        workers = worker_count(args.workers)
+    except ValueError as e:
+        raise UsageError(str(e))
     _check_positive("--c-h", args.c_h)
     _check_positive("--c-nu", args.c_nu)
     cloud = read_points_csv(args.points)
@@ -278,7 +282,7 @@ def cmd_estimate(args) -> int:
         paths = trace_ascent_paths(KernelDensityField(cloud, h), cloud.points,
                                    kde_flow_config(cloud, h))
 
-    fld = path_density_field(paths, nu, grid, workers=worker_count(args.workers))
+    fld = path_density_field(paths, nu, grid, workers=workers)
     lam = quantile_threshold(fld, cloud, args.quantile)
     mask_set = level_set(fld, lam)
 

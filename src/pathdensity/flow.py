@@ -11,8 +11,7 @@ from typing import Protocol
 import numpy as np
 
 from .geometry import as_points
-from .kernels import (PointCloud, _kde_derivatives, _kde_terms, _weight_sums,
-                      check_bandwidth)
+from .kernels import KernelDensityField, PointCloud
 from .path_density import PathEnsemble
 
 # a path's trim hint is its first vertex that has gained this fraction of
@@ -62,7 +61,7 @@ class FlowConfig:
 def kde_flow_config(cloud: PointCloud, h: float) -> FlowConfig:
     """Tracing settings scaled to a KDE: tolerances tied to the peak height
     (the largest KDE value at a data point) and h."""
-    gmax = float(np.max(_kde_derivatives(cloud, h, cloud.points, 0)[0]))
+    gmax = float(np.max(KernelDensityField(cloud, h).derivatives(cloud.points, 0)[0]))
     grad_tolerance = 1e-7 * gmax / h
     if not 0.0 < grad_tolerance < np.inf:
         raise FlowNumericalError(
@@ -235,7 +234,7 @@ def mean_shift_paths(cloud: PointCloud, h: float, starts,
     ascends the KDE and stops when the displacement drops below
     min_displacement (default 1e-6 h), or after max_steps.
     """
-    check_bandwidth(h)
+    field = KernelDensityField(cloud, h)
     if min_displacement is None:
         min_displacement = 1e-6 * h
     if not (min_displacement > 0 and max_steps > 0):
@@ -252,23 +251,23 @@ def mean_shift_paths(cloud: PointCloud, h: float, starts,
             break
         idx = np.nonzero(active)[0]
         p = pos[idx]
-        s0, s1 = _weight_sums(cloud.points, h, p, 1)
+        s0, s1x, s1y = field.weight_sums(p, 1)
         if np.any(s0 <= 0.0):
             raise MeanShiftUnderflowError(
                 f"all kernel weights underflowed at h = {float(h)!r}: a start "
                 "is too far from the data, or h is below the resolution of "
                 "the coordinates")
-        # the weight sum that divides the mean is the KDE at p up to a
-        # constant, so each vertex is recorded one step after it is reached
-        rec.record(idx, p, t[idx], _kde_terms(h, cloud.n, p, [s0])[0])
-        new = s1 / s0[:, None]
+        # the weight sum that divides the mean is the KDE at p, so each
+        # vertex is recorded one step after it is reached
+        rec.record(idx, p, t[idx], s0)
+        new = np.column_stack([s1x / s0, s1y / s0])
         disp = np.hypot(new[:, 0] - p[:, 0], new[:, 1] - p[:, 1])
         pos[idx] = new
         t[idx] = step + 1
         active[idx[disp < min_displacement]] = False
 
     # every path's last vertex is still unrecorded
-    val, grad = _kde_derivatives(cloud, h, pos, 1)
+    val, grad = field.derivatives(pos, 1)
     rec.record(np.arange(m), pos, t, val)
     gnorm = np.hypot(grad[:, 0], grad[:, 1])
     return rec.build(active, gnorm)

@@ -1,4 +1,5 @@
-"""The Gaussian kernel profile and the 2-D kernel density estimator with analytic derivatives.
+"""The Gaussian kernel profile, the Gaussian-mixture evaluator, and the 2-D
+kernel density estimator built on it, with analytic derivatives.
 
 The raw profile K(t) is what distance-smoothing uses; the 2-D normalizer c_K
 is applied only when K is promoted to a probability density on the plane.
@@ -77,51 +78,63 @@ def squared_distance_matrix(pts: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _weight_sums(data: np.ndarray, h: float, pts: np.ndarray, order: int) -> list:
-    """Row sums of the weight block K(||p - X_i|| / h) over the data X_i,
-    built once per chunk of rows: s0 = sum K, then for order >= 1
-    s1 = sum K X_i (m, 2), and for order 2 the second moments
-    sum K (x_i^2, x_i y_i, y_i^2) (m, 3)."""
-    sums = [np.empty(len(pts)), np.empty((len(pts), 2)),
-            np.empty((len(pts), 3))][:order + 1]
-    if order == 2:
-        moments = (data[:, 0] * data[:, 0], data[:, 0] * data[:, 1],
-                   data[:, 1] * data[:, 1])
-    for s in range(0, len(pts), _CHUNK):
-        sl = slice(s, s + _CHUNK)
-        k = np.exp(squared_distance_matrix(pts[sl], data) * (-0.5 / (h * h)))
-        sums[0][sl] = k.sum(axis=1)
-        if order >= 1:
-            sums[1][sl] = k @ data
-        if order == 2:
-            for j, col in enumerate(moments):
-                sums[2][sl, j] = k @ col
-    return sums
+class GaussianMixture:
+    """sum_i w_i N2(x - q_i, sigma^2 I): weighted nodes q_i sharing one
+    Gaussian scale. The KDE is the mixture with weight 1/n at each data point
+    and sigma = h; the filament model is one mixture per noise scale."""
 
+    def __init__(self, sigma: float, nodes: np.ndarray, weights: np.ndarray):
+        self.sigma = sigma
+        self.nodes = np.ascontiguousarray(nodes)
+        w, (x, y) = np.ascontiguousarray(weights), self.nodes.T
+        wx, wy = w * x, w * y
+        self.moments = (w, wx, wy, wx * x, wx * y, wy * y)
 
-def _kde_terms(h: float, n: int, pts: np.ndarray, sums: list) -> list:
-    """KDE value, gradient and Hessian at pts from the weight sums of an
-    n-point cloud, as far as the sums go."""
-    s0 = sums[0]
-    terms = [NORMALIZER / (h * h * n) * s0]
-    c = NORMALIZER / (h**4 * n)
-    if len(sums) > 1:
-        s1 = sums[1]
-        terms.append(-c * (pts * s0[:, None] - s1))
-    if len(sums) > 2:
+    def weight_sums(self, pts, order: int) -> list:
+        """Sums over the nodes of phi_i w_i, with phi_i the N2(0, sigma^2 I)
+        density at p - q_i, from one block of weights: s0 (the mixture's
+        value), then for order >= 1 s1x and s1y (times the node's x and y),
+        then for order 2 s2xx, s2xy and s2yy."""
+        phi = squared_distance_matrix(pts, self.nodes)
+        var = self.sigma * self.sigma
+        np.multiply(phi, -0.5 / var, out=phi)
+        np.exp(phi, out=phi)
+        np.divide(phi, 2.0 * np.pi * var, out=phi)
+        return [phi @ m for m in self.moments[:(1, 3, 6)[order]]]
+
+    def derivatives(self, pts, order: int) -> list:
+        """Value, gradient and Hessian of the mixture at pts, up to `order`,
+        from its weight sums."""
+        s0, *sums = self.weight_sums(pts, order)
+        if order == 0:
+            return [s0]
+        s1x, s1y, *s2 = sums
         px, py = pts[:, 0], pts[:, 1]
-        kxx, kxy, kyy = sums[2].T
-        # second moments of (x - X_i) under the kernel weights
-        m00 = px**2 * s0 - 2 * px * s1[:, 0] + kxx
-        m11 = py**2 * s0 - 2 * py * s1[:, 1] + kyy
-        m01 = px * py * s0 - px * s1[:, 1] - py * s1[:, 0] + kxy
+        g = np.empty((len(pts), 2))
+        g[:, 0] = px * s0 - s1x
+        g[:, 1] = py * s0 - s1y
+        g *= -1.0 / self.sigma**2
+        if order == 1:
+            return [s0, g]
+        s2xx, s2xy, s2yy = s2
+        m00 = px * px * s0 - 2 * px * s1x + s2xx
+        m11 = py * py * s0 - 2 * py * s1y + s2yy
+        m01 = px * py * s0 - px * s1y - py * s1x + s2xy
+        s2, s4 = self.sigma**2, self.sigma**4
         H = np.empty((len(pts), 2, 2))
-        H[:, 0, 0] = c * (m00 / h**2 - s0)
-        H[:, 1, 1] = c * (m11 / h**2 - s0)
-        H[:, 0, 1] = c * m01 / h**2
+        H[:, 0, 0] = m00 / s4 - s0 / s2
+        H[:, 1, 1] = m11 / s4 - s0 / s2
+        H[:, 0, 1] = m01 / s4
         H[:, 1, 0] = H[:, 0, 1]
-        terms.append(H)
-    return terms
+        return [s0, g, H]
+
+
+def in_blocks(fn, pts: np.ndarray, rows: int, *args) -> list:
+    """fn(block, *args) on consecutive `rows`-row blocks of pts (one empty
+    block when pts is empty), each returned term joined over the blocks; BLAS
+    rounding depends on the row count, so each field keeps its own."""
+    parts = [fn(pts[s:s + rows], *args) for s in range(0, max(len(pts), 1), rows)]
+    return [np.concatenate(p) for p in zip(*parts)]
 
 
 def _unbatch(x, terms: list) -> tuple:
@@ -132,39 +145,41 @@ def _unbatch(x, terms: list) -> tuple:
     return tuple(terms)
 
 
-def _kde_derivatives(cloud, h: float, x, order: int) -> tuple:
-    if not isinstance(cloud, PointCloud):
-        cloud = PointCloud(np.asarray(cloud))
-    check_bandwidth(h)
-    pts = as_points(x)
-    sums = _weight_sums(cloud.points, h, pts, order)
-    return _unbatch(x, _kde_terms(h, cloud.n, pts, sums))
-
-
-def kde_density(cloud: PointCloud, h: float, x):
-    """Kernel density estimate at x: mean over data of (c_K/h^2) K(||x - X_i|| / h)."""
-    return _kde_derivatives(cloud, h, x, 0)[0]
-
-
-def kde_gradient(cloud: PointCloud, h: float, x):
-    """Analytic gradient of the KDE at x."""
-    return _kde_derivatives(cloud, h, x, 1)[1]
-
-
-def kde_hessian(cloud: PointCloud, h: float, x):
-    """Analytic Hessian of the KDE at x; exactly symmetric by construction."""
-    return _kde_derivatives(cloud, h, x, 2)[2]
-
-
 class KernelDensityField:
-    """The KDE as an evaluable scalar field."""
+    """The KDE (1/n) sum_i (c_K/h^2) K(||x - X_i|| / h) as an evaluable scalar
+    field: the Gaussian mixture of scale h with weight 1/n at each data
+    point, evaluated in blocks of _CHUNK rows."""
 
     def __init__(self, cloud: PointCloud, h: float):
         check_bandwidth(h)
+        if not isinstance(cloud, PointCloud):
+            cloud = PointCloud(cloud)
         self.cloud = cloud
         self.h = float(h)
+        self.mixture = GaussianMixture(self.h, cloud.points,
+                                       np.full(cloud.n, 1.0 / cloud.n))
+
+    def weight_sums(self, pts, order: int) -> list:
+        """The mixture's weight sums at an (m, 2) batch; s0 is the KDE."""
+        return in_blocks(self.mixture.weight_sums, pts, _CHUNK, order)
 
     def derivatives(self, x, order: int) -> tuple:
         """(value, gradient, Hessian) at x up to `order` (0, 1 or 2), from one
         pass over the kernel weights."""
-        return _kde_derivatives(self.cloud, self.h, x, order)
+        return _unbatch(x, in_blocks(self.mixture.derivatives, as_points(x),
+                                     _CHUNK, order))
+
+
+def kde_density(cloud: PointCloud, h: float, x):
+    """Kernel density estimate at x: mean over data of (c_K/h^2) K(||x - X_i|| / h)."""
+    return KernelDensityField(cloud, h).derivatives(x, 0)[0]
+
+
+def kde_gradient(cloud: PointCloud, h: float, x):
+    """Analytic gradient of the KDE at x."""
+    return KernelDensityField(cloud, h).derivatives(x, 1)[1]
+
+
+def kde_hessian(cloud: PointCloud, h: float, x):
+    """Analytic Hessian of the KDE at x; exactly symmetric by construction."""
+    return KernelDensityField(cloud, h).derivatives(x, 2)[2]

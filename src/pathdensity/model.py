@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import (as_points, point_on_polyline, polyline_arclength,
                        polyline_self_intersects)
-from .kernels import PointCloud, _unbatch, squared_distance_matrix
+from .kernels import GaussianMixture, PointCloud, _unbatch, in_blocks
 
 _EVAL_CHUNK = 2048
 
@@ -42,8 +42,12 @@ class Filament:
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 2:
             raise ValueError("filament needs a polyline of at least 2 vertices")
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not np.isfinite(v).all():
+            raise ValueError("filament vertices must be finite")
+        if not 0 < sigma < np.inf:
+            raise ValueError("sigma must be finite and positive")
+        if not (0 < beta_a < np.inf and 0 < beta_b < np.inf):
+            raise ValueError("beta shapes must be finite and positive")
         if weight not in ("uniform", "beta"):
             raise ValueError(f"unknown weight density {weight!r}")
         self.vertices = v
@@ -78,17 +82,18 @@ class Filament:
         u = np.asarray(u, dtype=float)
         if self.weight == "uniform":
             return self.length * u
-        from scipy.stats import beta
+        from scipy.special import betaincinv
 
-        return self.length * beta.ppf(u, self.beta_a, self.beta_b)
+        return self.length * betaincinv(self.beta_a, self.beta_b, u)
 
     def weight_pdf(self, s):
         s = np.asarray(s, dtype=float)
         if self.weight == "uniform":
             return np.full(s.shape, 1.0 / self.length)
-        from scipy.stats import beta
+        from scipy.special import betaln
 
-        return beta.pdf(s / self.length, self.beta_a, self.beta_b) / self.length
+        a, b, t = self.beta_a, self.beta_b, s / self.length
+        return t**(a - 1) * (1 - t)**(b - 1) / np.exp(betaln(a, b)) / self.length
 
     def _n_intervals(self, nodes_per_interval: int, nodes_per_sigma: int) -> int:
         # enough CDF intervals for the target node density over the central
@@ -124,56 +129,10 @@ class Cluster:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("cluster sigma must be positive")
-
-
-class _SigmaGroup:
-    """All Gaussian mass at one noise scale, flattened to weighted nodes."""
-
-    def __init__(self, sigma: float, nodes: np.ndarray, weights: np.ndarray):
-        self.sigma = sigma
-        self.nodes = np.ascontiguousarray(nodes)
-        self.w = np.ascontiguousarray(weights)
-        self.wx = self.w * self.nodes[:, 0]
-        self.wy = self.w * self.nodes[:, 1]
-        self.wxx = self.wx * self.nodes[:, 0]
-        self.wxy = self.wx * self.nodes[:, 1]
-        self.wyy = self.wy * self.nodes[:, 1]
-
-    def derivatives(self, pts, order: int) -> list:
-        """Value, gradient and Hessian of this group's mass at pts, up to
-        `order`, from one block of Gaussian weights."""
-        d2 = squared_distance_matrix(pts, self.nodes)
-        var = self.sigma * self.sigma
-        np.multiply(d2, -0.5 / var, out=d2)
-        np.exp(d2, out=d2)
-        phi = d2 / (2.0 * np.pi * var)
-        s0 = phi @ self.w
-        terms = [s0]
-        if order == 0:
-            return terms
-        s1x = phi @ self.wx
-        s1y = phi @ self.wy
-        px, py = pts[:, 0], pts[:, 1]
-        g = np.empty((len(pts), 2))
-        g[:, 0] = px * s0 - s1x
-        g[:, 1] = py * s0 - s1y
-        g *= -1.0 / self.sigma**2
-        terms.append(g)
-        if order == 1:
-            return terms
-        m00 = px * px * s0 - 2 * px * s1x + phi @ self.wxx
-        m11 = py * py * s0 - 2 * py * s1y + phi @ self.wyy
-        m01 = px * py * s0 - px * s1y - py * s1x + phi @ self.wxy
-        s2, s4 = self.sigma**2, self.sigma**4
-        H = np.empty((len(pts), 2, 2))
-        H[:, 0, 0] = m00 / s4 - s0 / s2
-        H[:, 1, 1] = m11 / s4 - s0 / s2
-        H[:, 0, 1] = m01 / s4
-        H[:, 1, 0] = H[:, 0, 1]
-        terms.append(H)
-        return terms
+        if not (np.shape(self.center) == (2,) and np.isfinite(self.center).all()):
+            raise ValueError("cluster center must be two finite coordinates")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError("cluster sigma must be finite and positive")
 
 
 class FilamentModel:
@@ -192,9 +151,9 @@ class FilamentModel:
 
         weights = np.concatenate([[self.background_weight], self.filament_weights,
                                   self.cluster_weights])
-        if np.any(weights < 0) or np.any(weights > 1):
+        if not np.all((weights >= 0) & (weights <= 1)):
             raise ValueError("component weights must lie in [0, 1]")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        if not abs(weights.sum() - 1.0) <= 1e-12:
             raise ValueError("component weights must sum to 1")
         if len(self.filaments) != len(self.filament_weights):
             raise ValueError("one weight per filament required")
@@ -241,28 +200,26 @@ class FilamentModel:
         return on_x | on_y
 
     @cached_property
-    def _groups(self) -> list[_SigmaGroup]:
+    def _mixtures(self) -> list[GaussianMixture]:
         # built on first evaluation: sampling never needs the quadrature
         by_sigma: dict[float, list] = {}
         for alpha, f in zip(self.filament_weights, self.filaments):
-            if alpha == 0:
-                continue
-            nodes, w = f.quadrature(self.quad)
-            by_sigma.setdefault(f.sigma, []).append((nodes, alpha * w))
+            if alpha > 0:
+                nodes, w = f.quadrature(self.quad)
+                by_sigma.setdefault(f.sigma, []).append((nodes, alpha * w))
         for alpha, c in zip(self.cluster_weights, self.clusters):
-            if alpha == 0:
-                continue
-            by_sigma.setdefault(c.sigma, []).append(
-                (np.asarray([c.center], dtype=float), np.asarray([alpha])))
-        return [_SigmaGroup(s, np.concatenate([n for n, _ in parts]),
-                            np.concatenate([w for _, w in parts]))
+            if alpha > 0:
+                by_sigma.setdefault(c.sigma, []).append(
+                    (np.asarray([c.center], dtype=float), np.asarray([alpha])))
+        return [GaussianMixture(s, np.concatenate([n for n, _ in parts]),
+                                np.concatenate([w for _, w in parts]))
                 for s, parts in sorted(by_sigma.items())]
 
     # -- field interface ---------------------------------------------------
 
     def derivatives(self, x, order: int) -> tuple:
         """(value, gradient, Hessian) of the density at x up to `order`
-        (0, 1 or 2), from one pass over each group's Gaussian weights."""
+        (0, 1 or 2), from one pass over each noise scale's Gaussian weights."""
         pts = as_points(x)
         if order > 0 and self.background_weight > 0 and self._on_box_edge(pts).any():
             raise ValueError("density is not differentiable on the box boundary")
@@ -270,11 +227,10 @@ class FilamentModel:
                  for shape in [(), (2,), (2, 2)][:order + 1]]
         if self.background_weight > 0:
             terms[0] += self.background_weight * self._in_box(pts) / self.box_area
-        for s in range(0, len(pts), _EVAL_CHUNK):
-            sl = slice(s, s + _EVAL_CHUNK)
-            for g in self._groups:
-                for total, part in zip(terms, g.derivatives(pts[sl], order)):
-                    total[sl] += part
+        for g in self._mixtures:
+            for total, part in zip(terms, in_blocks(g.derivatives, pts,
+                                                    _EVAL_CHUNK, order)):
+                total += part
         return _unbatch(x, terms)
 
     def value(self, x):

@@ -11,13 +11,19 @@ WORKERS_ENV = "PATHDENSITY_WORKERS"
 
 
 def worker_count(explicit: int | None = None) -> int:
+    """`explicit` when given, else PATHDENSITY_WORKERS, else 1. The variable
+    must hold an integer of at least 1; anything else is a ValueError."""
     if explicit is not None:
         return max(1, int(explicit))
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(raw))
+        n = int(raw)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise ValueError(f"{WORKERS_ENV} must be an integer of at least 1, "
+                         f"not {raw!r}")
+    return n
 
 
 def map_indexed(fn, items, workers: int | None = None) -> list:

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -70,6 +73,25 @@ def test_simulate_from_custom_model_json(tmp_path):
     # builtin name and custom file are mutually exclusive
     assert run("simulate", "--model", "pentagon", "--model-json",
                str(src / "model.json"), "--seed", "3", "--out", str(out)) == 2
+
+
+def test_simulate_from_a_beta_model_leaves_scipy_stats_unimported(tmp_path):
+    # scipy.stats costs about a second to import; the beta weight needs only
+    # scipy.special
+    import pathdensity
+
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"version": 1, "box": [-1, 2, -1, 1],
+                                 "filaments": [_FILAMENT]}))
+    code = ("import sys; from pathdensity.cli import main; "
+            f"rc = main(['simulate', '--model-json', {str(model)!r}, "
+            f"'--n', '50', '--seed', '1', '--out', {str(tmp_path / 'o')!r}]); "
+            "print(rc, 'scipy.stats' in sys.modules)")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(pathdensity.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 # -- estimate -----------------------------------------------------------------
@@ -180,6 +202,18 @@ def test_estimate_bad_input_exit_codes(tmp_path, capsys, rows, flags, code):
     assert run("estimate", "--points", str(pts), "--out", str(tmp_path / "o"),
                *flags) == code
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_invalid_workers_variable_exits_2(tmp_path, capsys, monkeypatch, value):
+    pts = tmp_path / "points.csv"
+    pts.write_text("x,y\n0.1,0.2\n0.5,0.5\n0.3,0.9\n")
+    monkeypatch.setenv("PATHDENSITY_WORKERS", value)
+    assert run("estimate", "--points", str(pts), "--out",
+               str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: PATHDENSITY_WORKERS") and repr(value) in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_estimate_bounds_excluding_data_names_the_count(tmp_path, capsys):
@@ -364,6 +398,26 @@ INVALID_MODELS = {
         "filaments": [{"vertices": [[0, 0], [1, 1], [1, 0], [0, 1]],
                        "sigma": 0.05, "weight": 1.0}]}),
 }
+# one parameter of a one-filament or one-cluster model made non-finite,
+# non-positive or of the wrong length (json writes nan and inf as NaN and
+# Infinity)
+_FILAMENT = {"vertices": [[0.0, 0.0], [1.0, 0.0]], "sigma": 0.05, "weight": 1.0,
+             "length_density": {"kind": "beta", "a": 0.5, "b": 0.5}}
+for _kind, _filament, _cluster in [
+        ("filament-sigma-nan", {"sigma": np.nan}, None),
+        ("filament-sigma-inf", {"sigma": np.inf}, None),
+        ("filament-vertex-nan", {"vertices": [[0.0, 0.0], [1.0, np.nan]]}, None),
+        ("beta-a-negative", {"length_density": {"kind": "beta", "a": -1.0}}, None),
+        ("beta-a-zero", {"length_density": {"kind": "beta", "a": 0.0}}, None),
+        ("beta-b-inf", {"length_density": {"kind": "beta", "b": np.inf}}, None),
+        ("cluster-sigma-nan", None, {"sigma": np.nan}),
+        ("cluster-center-nan", None, {"center": [np.nan, 0.0]}),
+        ("cluster-center-3d", None, {"center": [0.0, 0.0, 0.0]}),
+        ("cluster-weight-nan", None, {"weight": np.nan})]:
+    INVALID_MODELS[_kind] = json.dumps(
+        {"version": 1, "box": [-1, 2, -1, 1]}
+        | ({"filaments": [_FILAMENT | _filament]} if _filament is not None
+           else {"clusters": [_CLUSTER | _cluster]}))
 
 
 @pytest.mark.parametrize("kind", sorted(INVALID_MODELS))
@@ -380,6 +434,7 @@ def test_invalid_model_file_exits_3(tmp_path, capsys, argv, kind):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 # -- oracle -------------------------------------------------------------------

@@ -103,7 +103,8 @@ def test_kde_flow_config_refuses_a_zero_peak(monkeypatch):
     # can underflow every kernel weight, so that the KDE peak reads 0
     import pathdensity.flow as flow
 
-    monkeypatch.setattr(flow, "_kde_derivatives", lambda *args: (np.zeros(2),))
+    monkeypatch.setattr(flow.KernelDensityField, "derivatives",
+                        lambda *args: (np.zeros(2),))
     cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.5]]))
     with pytest.raises(FlowNumericalError, match="gradient tolerance"):
         kde_flow_config(cloud, 1e-20)

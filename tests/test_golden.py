@@ -20,9 +20,9 @@ ESTIMATE_FILES = ("paths.csv", "field.csv", "levelset.csv", "figure.svg")
 GOLDEN = {
     "estimate-meanshift": {
         "paths.csv":
-            "8ea3ecd6ac64b1e4b450a9c45480a09589ee087056f6e0576e3858368817339a",
+            "1554bcf82e46998b72fe16cee3bf3c20812bd2beea4dd9d3b1e074d296cae984",
         "field.csv":
-            "2fdddf878fa0bc041db1201f866deb8893b9ad28da45c4284c52010c8880d44e",
+            "ec1a21453d2055c84848312ec3705c41e71cc782c7f2de3b6862440ca9ff6dbb",
         "levelset.csv":
             "0ffef3133244b585194d384aa3ddf77473af79411357771dffb809071eb5b728",
         "figure.svg":
@@ -30,9 +30,9 @@ GOLDEN = {
     },
     "estimate-flow": {
         "paths.csv":
-            "b3f8178a84f63549f9f8e336dbe15094eb035dd45bd38188a7b33abce01a9559",
+            "e45c886f1a44a18dd7b304f3dcb7d51e96a5b4a7bec83a3859a59b2ed2b22e50",
         "field.csv":
-            "30c340d5c1a0698963ad6a52d6b510c209c7f9c76af1ea40e4a0ef85527752a2",
+            "b0bbfb5a48c974c92cab51dba39afad162796b647497b37c22ecceb6c7846236",
         "levelset.csv":
             "0ffef3133244b585194d384aa3ddf77473af79411357771dffb809071eb5b728",
         "figure.svg":

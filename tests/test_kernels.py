@@ -5,7 +5,7 @@ from pathdensity.flow import kde_flow_config, mean_shift_paths
 from pathdensity.kernels import (NORMALIZER, KernelDensityField, PointCloud,
                                  gaussian, kde_density, kde_gradient,
                                  kde_hessian)
-from pathdensity.model import two_gaussian_model
+from pathdensity.model import cluster_model, two_gaussian_model
 
 from conftest import fd_gradient, fd_hessian
 
@@ -185,3 +185,16 @@ def test_derivatives_equal_the_views(small_cloud):
             np.testing.assert_array_equal(v, value(x))
             np.testing.assert_array_equal(g, gradient(x))
             np.testing.assert_array_equal(H, hessian(x))
+
+
+def test_kde_is_the_equal_weight_cluster_model_at_its_data_points(small_cloud):
+    # one Gaussian-mixture evaluator serves both fields; the KDE's row
+    # blocks (1,024) are smaller than the model's, so a batch of 1,024 rows
+    # is one block in each
+    h = 0.4
+    kde = KernelDensityField(small_cloud, h)
+    model = cluster_model(small_cloud.points, h, (-5.0, 5.0, -5.0, 5.0))
+    rng = np.random.default_rng(11)
+    for x in (np.array([0.3, -0.2]), rng.uniform(-3.0, 3.0, (1024, 2))):
+        for a, b in zip(kde.derivatives(x, 2), model.derivatives(x, 2)):
+            np.testing.assert_array_equal(a, b)

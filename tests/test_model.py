@@ -50,6 +50,16 @@ def test_weight_density_integrates_to_one():
     assert np.trapezoid(g.weight_pdf(s), s) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.7, 1.9), (2.0, 3.0)])
+def test_beta_weight_ppf_equals_scipy_stats(a, b):
+    f = Filament.from_endpoints([0.0, 0.0], [1.0, 0.0], 0.05, weight="beta",
+                                beta_a=a, beta_b=b)
+    u = np.concatenate([np.random.default_rng(3).random(10_000),
+                        [0.0, 1.0, 1.0 - 2.0**-53]])
+    np.testing.assert_array_equal(f.weight_ppf(u),
+                                  f.length * beta_dist.ppf(u, a, b))
+
+
 def test_quadrature_node_density_covers_sigma():
     f = unit_filament(weight="beta", sigma=0.05)
     pts, w = f.quadrature(QuadratureSpec())
