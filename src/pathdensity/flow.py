@@ -239,9 +239,12 @@ def mean_shift_paths(cloud: PointCloud, h: float, starts,
         min_displacement = 1e-6 * h
     if not (min_displacement > 0 and max_steps > 0):
         raise ValueError("min_displacement and max_steps must be positive")
+    # iterate in the field's centred coordinates; vertices are recorded in
+    # the data's own
+    c = field.center
     starts = as_points(starts)
     m = len(starts)
-    pos = starts.copy()
+    pos = starts - c
     t = np.zeros(m)
     rec = _Recorder(m)
     active = np.ones(m, dtype=bool)
@@ -258,8 +261,9 @@ def mean_shift_paths(cloud: PointCloud, h: float, starts,
                 "is too far from the data, or h is below the resolution of "
                 "the coordinates")
         # the weight sum that divides the mean is the KDE at p, so each
-        # vertex is recorded one step after it is reached
-        rec.record(idx, p, t[idx], s0)
+        # vertex is recorded one step after it is reached (a start as given:
+        # p + c need not round back to it)
+        rec.record(idx, p + c if step else starts, t[idx], s0)
         new = np.column_stack([s1x / s0, s1y / s0])
         disp = np.hypot(new[:, 0] - p[:, 0], new[:, 1] - p[:, 1])
         pos[idx] = new
@@ -267,6 +271,7 @@ def mean_shift_paths(cloud: PointCloud, h: float, starts,
         active[idx[disp < min_displacement]] = False
 
     # every path's last vertex is still unrecorded
+    pos += c
     val, grad = field.derivatives(pos, 1)
     rec.record(np.arange(m), pos, t, val)
     gnorm = np.hypot(grad[:, 0], grad[:, 1])

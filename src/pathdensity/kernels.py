@@ -148,7 +148,13 @@ def _unbatch(x, terms: list) -> tuple:
 class KernelDensityField:
     """The KDE (1/n) sum_i (c_K/h^2) K(||x - X_i|| / h) as an evaluable scalar
     field: the Gaussian mixture of scale h with weight 1/n at each data
-    point, evaluated in blocks of _CHUNK rows."""
+    point, evaluated in blocks of _CHUNK rows.
+
+    The mixture lives in coordinates centred on `center`, the midpoint of the
+    data bounds: the squared distances expand ||p||^2 + ||q||^2 - 2 p.q, whose
+    rounding grows with ||p||^2, so data far from the origin (projected
+    coordinates, say) would otherwise blur the kernel weights.
+    """
 
     def __init__(self, cloud: PointCloud, h: float):
         check_bandwidth(h)
@@ -156,18 +162,21 @@ class KernelDensityField:
             cloud = PointCloud(cloud)
         self.cloud = cloud
         self.h = float(h)
-        self.mixture = GaussianMixture(self.h, cloud.points,
+        lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
+        self.center = 0.5 * (lo + hi)
+        self.mixture = GaussianMixture(self.h, cloud.points - self.center,
                                        np.full(cloud.n, 1.0 / cloud.n))
 
     def weight_sums(self, pts, order: int) -> list:
-        """The mixture's weight sums at an (m, 2) batch; s0 is the KDE."""
+        """The mixture's weight sums at an (m, 2) batch of centred points
+        (x - center); s0 is the KDE, and s1 / s0 is a centred point too."""
         return in_blocks(self.mixture.weight_sums, pts, _CHUNK, order)
 
     def derivatives(self, x, order: int) -> tuple:
         """(value, gradient, Hessian) at x up to `order` (0, 1 or 2), from one
         pass over the kernel weights."""
-        return _unbatch(x, in_blocks(self.mixture.derivatives, as_points(x),
-                                     _CHUNK, order))
+        return _unbatch(x, in_blocks(self.mixture.derivatives,
+                                     as_points(x) - self.center, _CHUNK, order))
 
 
 def kde_density(cloud: PointCloud, h: float, x):

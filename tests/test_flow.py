@@ -130,6 +130,21 @@ def test_mean_shift_underflow_raises():
         mean_shift_paths(cloud, 0.1, [[500.0, 0.0]], min_displacement=1e-10)
 
 
+def test_mean_shift_is_translation_invariant_far_from_the_origin():
+    # squared kernel distances expand ||p||^2 + ||q||^2 - 2 p.q, whose
+    # rounding grows with ||p||^2: uncentred, an offset of 1e6 (metres of a
+    # projected grid) blurs the weights so that no path stops on its own
+    model, cloud = random_pentagon_model(np.random.default_rng(11), n=300)
+    h = 0.08
+    offset = 1e6
+    ref = mean_shift_paths(cloud, h, cloud.points, max_steps=1_000)
+    far = mean_shift_paths(PointCloud(cloud.points + offset), h,
+                           cloud.points + offset, max_steps=1_000)
+    assert ref.converged.all() and far.converged.all()
+    np.testing.assert_array_equal(far.vertex_offsets, ref.vertex_offsets)
+    assert np.max(np.abs(far.vertices - offset - ref.vertices)) < 1e-6 * h
+
+
 def test_mean_shift_pentagon_terminals_are_modes():
     model, cloud = random_pentagon_model(np.random.default_rng(11), n=200)
     h = 0.08

@@ -20,9 +20,9 @@ ESTIMATE_FILES = ("paths.csv", "field.csv", "levelset.csv", "figure.svg")
 GOLDEN = {
     "estimate-meanshift": {
         "paths.csv":
-            "1554bcf82e46998b72fe16cee3bf3c20812bd2beea4dd9d3b1e074d296cae984",
+            "f552bb5a8f2741278d6b4a51db8a53ea11db30161a2745331ac6dc52c4c79220",
         "field.csv":
-            "ec1a21453d2055c84848312ec3705c41e71cc782c7f2de3b6862440ca9ff6dbb",
+            "8c1eeec143f2d680744ad8605953134fb7482fdd3a69af4ba47b4d307abad47b",
         "levelset.csv":
             "0ffef3133244b585194d384aa3ddf77473af79411357771dffb809071eb5b728",
         "figure.svg":
@@ -30,9 +30,9 @@ GOLDEN = {
     },
     "estimate-flow": {
         "paths.csv":
-            "e45c886f1a44a18dd7b304f3dcb7d51e96a5b4a7bec83a3859a59b2ed2b22e50",
+            "c614c2d766a574f39488f5af1d8eb16b1079bed9002ca3e88e1c975aef492111",
         "field.csv":
-            "b0bbfb5a48c974c92cab51dba39afad162796b647497b37c22ecceb6c7846236",
+            "9d4c32a689ba7933583b229bedfa0bd2c627de515c416ff65bee1532486ccdfd",
         "levelset.csv":
             "0ffef3133244b585194d384aa3ddf77473af79411357771dffb809071eb5b728",
         "figure.svg":
@@ -46,7 +46,7 @@ GOLDEN = {
     },
     "converge": {
         "rate_table.csv":
-            "efc3ba0d0bbfbe635ec8421eb07ef0158b3888196104ac9a38d22a40a153f7ef",
+            "0b1454f3a70b058ac4fb894032255d23b0281c38ac9bd37bd386d14383616227",
         "rate_summary.json":
             "6a7d11ea1b90cf621a8e63dabcbf2ab38b74488aad8be817ad2308dad76b028f",
     },

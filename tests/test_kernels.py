@@ -190,11 +190,13 @@ def test_derivatives_equal_the_views(small_cloud):
 def test_kde_is_the_equal_weight_cluster_model_at_its_data_points(small_cloud):
     # one Gaussian-mixture evaluator serves both fields; the KDE's row
     # blocks (1,024) are smaller than the model's, so a batch of 1,024 rows
-    # is one block in each
+    # is one block in each. The KDE's mixture lives in coordinates centred
+    # on kde.center, so the model is built and evaluated there too
     h = 0.4
     kde = KernelDensityField(small_cloud, h)
-    model = cluster_model(small_cloud.points, h, (-5.0, 5.0, -5.0, 5.0))
+    c = kde.center
+    model = cluster_model(small_cloud.points - c, h, (-5.0, 5.0, -5.0, 5.0))
     rng = np.random.default_rng(11)
     for x in (np.array([0.3, -0.2]), rng.uniform(-3.0, 3.0, (1024, 2))):
-        for a, b in zip(kde.derivatives(x, 2), model.derivatives(x, 2)):
+        for a, b in zip(kde.derivatives(x, 2), model.derivatives(x - c, 2)):
             np.testing.assert_array_equal(a, b)
