@@ -19,6 +19,10 @@ from .path_density import PathEnsemble
 TRIM_FRACTION = 0.1
 # an RK4 step may lower the field value by at most this much
 _ASCENT_TOLERANCE = 1e-12
+# a step's time is at most this over the spectral radius of the Hessian at
+# its start: RK4 is stable on the real axis up to |lambda| dt = 2.785, and at
+# lambda dt = -2 it damps by 1/3, so a step across a ridge is not refused
+_CURVATURE_STEP = 2.0
 
 
 class ScalarField(Protocol):
@@ -41,7 +45,9 @@ class FlowConfig:
 
     step_scale is a target arc length per step: the time step is
     step_scale / max(||grad||, grad_tolerance), further capped by
-    max_time_step and halved whenever the field value would decrease.
+    max_time_step and by 2 / rho(H), the curvature cap (rho is the spectral
+    radius of the Hessian at the step's start), and halved whenever the field
+    value would decrease.
     """
 
     step_scale: float
@@ -125,6 +131,24 @@ class _Recorder:
                             ~active & ~self.stalled, hint, terminal_gnorm)
 
 
+def _spectral_radius(H):
+    """Largest |eigenvalue| of each symmetric 2x2 matrix in an (m, 2, 2)
+    batch: |a + d| / 2 + hypot((a - d) / 2, b), halving a and d first so that
+    no term overflows unless rho does."""
+    a, b, d = 0.5 * H[:, 0, 0], H[:, 0, 1], 0.5 * H[:, 1, 1]
+    return np.abs(a + d) + np.hypot(a - d, b)
+
+
+def _curvature_cap(H):
+    """The time-step cap _CURVATURE_STEP / rho(H) per path: inf where rho is
+    0 (a flat tail whose Hessian underflows) or not finite, so that only the
+    other caps and the ascent guard bound such a step."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cap = _CURVATURE_STEP / _spectral_radius(H)
+    cap[~(cap > 0.0)] = np.inf  # rho infinite or NaN
+    return cap
+
+
 def _refine_cap(pos, refine_disks):
     """Arc-length cap near query disks: r/4 within 3r of each disk."""
     if refine_disks is None:
@@ -140,10 +164,14 @@ def trace_ascent_paths(field: ScalarField, starts, cfg: FlowConfig,
                        refine_disks=None) -> PathEnsemble:
     """Trace the gradient flow of `field` forward from each start.
 
-    Classic RK4 on dx/dt = grad(x) with per-path adaptive time steps; a step
-    is halved until the field value does not decrease (up to max_halvings).
-    Stops per path when the gradient norm or the displacement drops below its
-    tolerance, or after max_steps.
+    Classic RK4 on dx/dt = grad(x) with per-path adaptive time steps. A
+    step's time is capped by the FlowConfig rules, by 4 times the path's last
+    step, near refine disks, and by the curvature cap 2 / rho(H), with H the
+    Hessian at the step's start: without it a step grows past RK4's stability
+    limit across a ridge and is refused. A step is halved until the field
+    value does not decrease (up to max_halvings). Stops per path when the
+    gradient norm or the displacement drops below its tolerance, or after
+    max_steps.
     """
     starts = as_points(starts)
     if refine_disks is not None:
@@ -154,15 +182,17 @@ def trace_ascent_paths(field: ScalarField, starts, cfg: FlowConfig,
     m = len(starts)
     pos = starts.copy()
     t = np.zeros(m)
-    val, grad = field.derivatives(pos, 1)
+    val, grad, hess = field.derivatives(pos, 2)
     if not np.all(np.isfinite(val)):
         raise FlowNumericalError("non-finite field value at a start point")
     gnorm = np.hypot(grad[:, 0], grad[:, 1])
+    # per path: the cap the last step leaves on the next one, 4 times its
+    # time step and the curvature cap at its end
+    step_cap = _curvature_cap(hess)
     rec = _Recorder(m)
     rec.record(np.arange(m), starts.copy(), np.zeros(m), val.copy())
 
     active = gnorm >= cfg.grad_tolerance
-    last_dt = np.full(m, np.inf)
 
     for _ in range(cfg.max_steps):
         if not active.any():
@@ -175,7 +205,7 @@ def trace_ascent_paths(field: ScalarField, starts, cfg: FlowConfig,
 
         dt = cfg.step_scale / np.maximum(gn, cfg.grad_tolerance)
         dt = np.minimum(dt, cfg.max_time_step)
-        dt = np.minimum(dt, 4.0 * last_dt[idx])
+        dt = np.minimum(dt, step_cap[idx])
         cap = _refine_cap(p, refine_disks)
         if cap is not None:
             dt = np.minimum(dt, cap / np.maximum(gn, cfg.grad_tolerance))
@@ -187,40 +217,40 @@ def trace_ascent_paths(field: ScalarField, starts, cfg: FlowConfig,
             k4 = field.derivatives(p0 + dt_[:, None] * k3, 1)[1]
             return p0 + (dt_[:, None] / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        # the pass that tests a trial's value also gives its gradient, which
-        # is the next step's k1 once the trial is accepted
+        # the pass that tests a trial's value also gives its gradient and
+        # Hessian, the next step's k1 and curvature cap once it is accepted
         trial = rk4(p, g, dt)
-        v1, g1 = field.derivatives(trial, 1)
-        stalled = np.zeros(len(idx), dtype=bool)
+        v1, g1, h1 = field.derivatives(trial, 2)
         for _h in range(cfg.max_halvings):
             bad = ~np.isfinite(v1) | (v1 < v0 - _ASCENT_TOLERANCE)
             if not bad.any():
                 break
             dt[bad] *= 0.5
             trial[bad] = rk4(p[bad], g[bad], dt[bad])
-            v1[bad], g1[bad] = field.derivatives(trial[bad], 1)
+            v1[bad], g1[bad], h1[bad] = field.derivatives(trial[bad], 2)
         else:
+            # a path that still fails to ascend stops where it is
             stalled = ~np.isfinite(v1) | (v1 < v0 - _ASCENT_TOLERANCE)
+            rec.stalled[idx[stalled]] = True
+            active[idx[stalled]] = False
+            ok = ~stalled
+            idx, p, trial, dt, v1, g1, h1 = (
+                a[ok] for a in (idx, p, trial, dt, v1, g1, h1))
 
-        if np.any(~np.isfinite(trial[~stalled])):
+        if not np.isfinite(trial).all():
             raise FlowNumericalError("non-finite position along an ascent path")
 
-        ok = ~stalled
-        moved = idx[ok]
-        disp = np.hypot(trial[ok, 0] - p[ok, 0], trial[ok, 1] - p[ok, 1])
-        pos[moved] = trial[ok]
-        t[moved] += dt[ok]
-        val[moved] = v1[ok]
-        last_dt[moved] = dt[ok]
-        rec.record(moved, trial[ok], t[moved], v1[ok])
-        grad[moved] = g1[ok]
-        gnorm[moved] = np.hypot(g1[ok, 0], g1[ok, 1])
-
-        done = np.zeros(len(idx), dtype=bool)
-        done[ok] = (gnorm[moved] < cfg.grad_tolerance) | (disp < cfg.min_displacement)
-        done[stalled] = True
+        disp = np.hypot(*(trial - p).T)
+        gn1 = np.hypot(*g1.T)
+        pos[idx] = trial
+        t[idx] += dt
+        val[idx] = v1
+        rec.record(idx, trial, t[idx], v1)
+        grad[idx] = g1
+        gnorm[idx] = gn1
+        step_cap[idx] = np.minimum(4.0 * dt, _curvature_cap(h1))
+        done = (gn1 < cfg.grad_tolerance) | (disp < cfg.min_displacement)
         active[idx[done]] = False
-        rec.stalled[idx[stalled]] = True
 
     return rec.build(active, gnorm)
 

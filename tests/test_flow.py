@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from scipy.optimize import brentq
 
 from pathdensity.flow import (TRIM_FRACTION, FlowConfig, FlowNumericalError,
-                              MeanShiftUnderflowError, classify_critical_point,
+                              MeanShiftUnderflowError, _curvature_cap,
+                              _spectral_radius, classify_critical_point,
                               find_critical_points, kde_flow_config,
                               mean_shift_paths, trace_ascent_paths)
 from pathdensity.geometry import convex_hull_contains
@@ -75,6 +77,29 @@ def test_trim_hint_marks_early_transient():
     assert vals[p.trim_hint - 1] - vals[0] < 0.1 * gain
 
 
+def test_a_path_that_cannot_ascend_stalls_alone():
+    # right of the y axis the gradient points away from the peak, so every
+    # trial step there lowers the value; those paths stop at their start,
+    # unconverged, and the others trace as on the true field
+    class Field(QuadraticPeakField):
+        def derivatives(self, x, order):
+            terms = super().derivatives(x, order)
+            right = np.atleast_2d(x)[:, 0] > 0
+            terms[1][right] *= -1.0
+            return terms
+
+    cfg = replace(QUAD_CFG, max_halvings=3)
+    starts = np.array([[-2.0, 1.0], [3.0, 0.5], [-0.5, -4.0], [1.0, -1.0]])
+    paths = trace_ascent_paths(Field(), starts, cfg)
+    left = trace_ascent_paths(QuadraticPeakField(), starts[[0, 2]], cfg)
+    np.testing.assert_array_equal(paths.converged, [True, False, True, False])
+    for i in (1, 3):
+        np.testing.assert_array_equal(paths[i].vertices, starts[[i]])
+    for i, j in ((0, 0), (2, 1)):
+        np.testing.assert_array_equal(paths[i].vertices, left[j].vertices)
+        np.testing.assert_array_equal(paths[i].times, left[j].times)
+
+
 def test_segment_mode_matches_path_mode():
     field = QuadraticPeakField()
     starts = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 0.0]])
@@ -94,6 +119,68 @@ def test_min_distances_on_segments():
     md = segs.distances([1.0, 0.0])[0]
     assert md[0] == pytest.approx(0.0, abs=1e-6)   # path runs through (1, 0)
     assert md[1] == pytest.approx(1.0, abs=1e-5)   # vertical path, distance 1
+
+
+def test_curvature_cap_leaves_no_trial_refused_on_filament_ridges():
+    # every start costs one field row and every accepted RK4 step four (k2,
+    # k3, k4 and the trial), so any further row belongs to a refused trial
+    model, cloud = random_pentagon_model(np.random.default_rng(1), n=500)
+    cfg = model_flow_config(model)
+    rows = []
+    inner = model.derivatives
+
+    def counting(x, order):
+        rows.append(len(np.atleast_2d(x)))
+        return inner(x, order)
+
+    model.derivatives = counting
+    paths = trace_ascent_paths(model, cloud.points, cfg)
+    steps = len(paths.vertices) - paths.n_paths
+    assert paths.converged.all()
+    assert sum(rows) == cloud.n + 4 * steps
+
+
+def test_spectral_radius_matches_eigvalsh():
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((2000, 2, 2)) * 10.0 ** rng.uniform(-6, 6, (2000, 1, 1))
+    H = A + A.transpose(0, 2, 1)
+    expected = np.max(np.abs(np.linalg.eigvalsh(H)), axis=1)
+    np.testing.assert_allclose(_spectral_radius(H), expected, rtol=1e-12)
+
+
+def test_curvature_cap_skips_zero_and_non_finite_curvature():
+    # rho = 0 (a flat tail whose Hessian underflows) and a non-finite rho give
+    # no cap, and no warning, rather than a zero or NaN time step
+    H = np.zeros((5, 2, 2))
+    H[1] = [[np.nan, 0.0], [0.0, 1.0]]
+    H[2] = [[np.inf, 0.0], [0.0, -np.inf]]
+    H[3] = [[1e308, 1e308], [1e308, 1e308]]  # rho = 2e308 overflows
+    H[4] = [[-4.0, 0.0], [0.0, -1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cap = _curvature_cap(H)
+    np.testing.assert_array_equal(cap, [np.inf, np.inf, np.inf, np.inf, 0.5])
+
+
+@pytest.mark.parametrize("curvature", [0.0, np.nan, np.inf])
+def test_uncapped_hessian_never_reaches_the_time_step(curvature):
+    # QUAD_CFG's max_time_step binds before the quadratic's cap 2 / 1, so a
+    # Hessian that gives no cap must leave every path as it is
+    class Field(QuadraticPeakField):
+        def derivatives(self, x, order):
+            terms = super().derivatives(x, order)
+            if order == 2:
+                terms[2][:] = curvature
+            return terms
+
+    starts = np.random.default_rng(3).uniform(-8, 8, (5, 2))
+    ref = trace_ascent_paths(QuadraticPeakField(), starts, QUAD_CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        paths = trace_ascent_paths(Field(), starts, QUAD_CFG)
+    np.testing.assert_array_equal(paths.vertices, ref.vertices)
+    np.testing.assert_array_equal(paths.times, ref.times)
+    assert paths.converged.all()
 
 
 # -- mean shift ---------------------------------------------------------------

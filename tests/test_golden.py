@@ -30,13 +30,13 @@ GOLDEN = {
     },
     "estimate-flow": {
         "paths.csv":
-            "c614c2d766a574f39488f5af1d8eb16b1079bed9002ca3e88e1c975aef492111",
+            "14e885c8898eb2bcaf8150adf5f7471a8ecbe44c32df530e8f112173cb52729e",
         "field.csv":
-            "9d4c32a689ba7933583b229bedfa0bd2c627de515c416ff65bee1532486ccdfd",
+            "434350a24cc37e1d6cdd1b9d64b3cccbf7ae9a9837995ee43b7672a3a9466350",
         "levelset.csv":
             "0ffef3133244b585194d384aa3ddf77473af79411357771dffb809071eb5b728",
         "figure.svg":
-            "6c1a2cd6cb5b0c27f17da7b2c68e947a9d92a9799da69f474a508038ecaaacdb",
+            "d9624a4499e053b8c2ee55e49deb86882cb2421d7ddce364f3626ec71b7c266e",
     },
     "oracle": {
         "oracle_field.csv":
