@@ -142,7 +142,8 @@ def test_curvature_cap_leaves_no_trial_refused_on_filament_ridges():
 
 def test_spectral_radius_matches_eigvalsh():
     rng = np.random.default_rng(8)
-    A = rng.standard_normal((2000, 2, 2)) * 10.0 ** rng.uniform(-6, 6, (2000, 1, 1))
+    scale = 10.0 ** rng.uniform(-6, 6, (2000, 1, 1))
+    A = rng.standard_normal((2000, 2, 2)) * scale
     H = A + A.transpose(0, 2, 1)
     expected = np.max(np.abs(np.linalg.eigvalsh(H)), axis=1)
     np.testing.assert_allclose(_spectral_radius(H), expected, rtol=1e-12)
