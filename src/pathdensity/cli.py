@@ -290,8 +290,7 @@ def cmd_estimate(args) -> int:
     write_field_csv(out / "field.csv", fld)
     write_mask_csv(out / "levelset.csv", mask_set.mask, grid)
     svg = render_four_panel_svg(
-        cloud.points, paths,
-        paths.trimmed(paths.trim_hint if trim is None else trim),
+        cloud.points, paths, paths.trim_hint if trim is None else trim,
         mask_set.mask, grid, bounds,
     )
     with open(out / "figure.svg", "w", encoding="utf-8") as f:

@@ -42,14 +42,22 @@ def _scatter(tr, points, color, r=1.6):
     )
 
 
-def _polylines(tr, paths, color, width=0.6):
+def _polylines(tr, paths, trims, color, width=0.6):
+    """Panels B and C: one polyline per path of two or more vertices, first
+    whole, then without its first paths.trim_drop(trims)[i] vertices. Each
+    vertex is formatted once: to_px maps coordinates one by one, and a
+    trimmed path is a suffix of its path, so panel C slices panel B's
+    strings."""
     px, py = tr.to_px(paths.vertices[:, 0], paths.vertices[:, 1])
-    xy = [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(px.tolist(), py.tolist())]
-    offs = paths.vertex_offsets.tolist()
-    return "".join(
-        f'<polyline points="{" ".join(xy[lo:hi])}" fill="none" '
-        f'stroke="{color}" stroke-width="{width}"/>'
-        for lo, hi in zip(offs[:-1], offs[1:]) if hi - lo >= 2)
+    xy = list(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
+    starts, ends = paths.vertex_offsets[:-1], paths.vertex_offsets[1:].tolist()
+
+    def panel(first):
+        return "".join(
+            f'<polyline points="{" ".join(xy[lo:hi])}" fill="none" '
+            f'stroke="{color}" stroke-width="{width}"/>'
+            for lo, hi in zip(first.tolist(), ends) if hi - lo >= 2)
+    return panel(starts), panel(starts + paths.trim_drop(trims))
 
 
 def _mask_rects(tr, mask, grid: GridSpec, color):
@@ -68,17 +76,19 @@ def _mask_rects(tr, mask, grid: GridSpec, color):
     return "".join(out)
 
 
-def render_four_panel_svg(points: np.ndarray, paths, trimmed_paths,
+def render_four_panel_svg(points: np.ndarray, paths, trims,
                           mask, grid: GridSpec, bounds) -> str:
-    """Panels: (A) data, (B) all paths, (C) trimmed paths, (D) level-set mask."""
+    """Panels: (A) data, (B) all paths, (C) the paths trimmed by trims (see
+    PathEnsemble.trim_drop), (D) level-set mask."""
     tr = _Transform(bounds)
+    all_paths, trimmed_paths = _polylines(tr, paths, trims, "#1f6fb2")
     width = 2 * (_PANEL + _MARGIN) + _GAP + _MARGIN
     height = 2 * (_PANEL + _MARGIN) + _GAP + _MARGIN
 
     contents = [
         ("A", _scatter(tr, points, "#333333")),
-        ("B", _polylines(tr, paths, "#1f6fb2")),
-        ("C", _polylines(tr, trimmed_paths, "#1f6fb2")),
+        ("B", all_paths),
+        ("C", trimmed_paths),
         ("D", _mask_rects(tr, mask, grid, "#b22222")),
     ]
     panels = []

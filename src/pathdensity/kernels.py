@@ -69,13 +69,8 @@ class PointCloud:
 
 
 _CHUNK = 1024
-
-
-def squared_distance_matrix(pts: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """||p - q||^2 for all pairs via the inner-product expansion (BLAS path)."""
-    d2 = (pts * pts).sum(axis=1)[:, None] + (nodes * nodes).sum(axis=1)[None, :]
-    d2 -= 2.0 * (pts @ nodes.T)
-    return np.maximum(d2, 0.0, out=d2)
+_TILE = 65_536  # elements of a weight tile: its 512 KB buffer and the matching
+                # rows of the cross term stay in a 2 MB L2 cache
 
 
 class GaussianMixture:
@@ -86,6 +81,7 @@ class GaussianMixture:
     def __init__(self, sigma: float, nodes: np.ndarray, weights: np.ndarray):
         self.sigma = sigma
         self.nodes = np.ascontiguousarray(nodes)
+        self.node_norms = (self.nodes * self.nodes).sum(axis=1)
         w, (x, y) = np.ascontiguousarray(weights), self.nodes.T
         wx, wy = w * x, w * y
         self.moments = (w, wx, wy, wx * x, wx * y, wy * y)
@@ -94,13 +90,31 @@ class GaussianMixture:
         """Sums over the nodes of phi_i w_i, with phi_i the N2(0, sigma^2 I)
         density at p - q_i, from one block of weights: s0 (the mixture's
         value), then for order >= 1 s1x and s1y (times the node's x and y),
-        then for order 2 s2xx, s2xy and s2yy."""
-        phi = squared_distance_matrix(pts, self.nodes)
+        then for order 2 s2xx, s2xy and s2yy.
+
+        The squared distances expand as ||p||^2 + ||q||^2 - 2 p.q. The two
+        BLAS steps, the cross term pts @ nodes.T and the moment gemv calls,
+        each see the whole block, because their rounding depends on the
+        shape of the call. The elementwise chain from the cross term to phi
+        runs over tiles of about _TILE elements in one reused buffer, so
+        that a block larger than the cache is not swept once per step; each
+        tile's weights overwrite its rows of the cross term."""
+        cross = pts @ self.nodes.T
+        p2 = (pts * pts).sum(axis=1)[:, None]
         var = self.sigma * self.sigma
-        np.multiply(phi, -0.5 / var, out=phi)
-        np.exp(phi, out=phi)
-        np.divide(phi, 2.0 * np.pi * var, out=phi)
-        return [phi @ m for m in self.moments[:(1, 3, 6)[order]]]
+        rows = max(1, _TILE // len(self.nodes))
+        buf = np.empty((min(rows, len(pts)), len(self.nodes)))
+        for s in range(0, len(pts), rows):
+            c = cross[s:s + rows]
+            d2 = buf[:len(c)]
+            np.add(p2[s:s + rows], self.node_norms, out=d2)
+            c *= 2.0
+            d2 -= c
+            np.maximum(d2, 0.0, out=d2)
+            d2 *= -0.5 / var
+            np.exp(d2, out=d2)
+            np.divide(d2, 2.0 * np.pi * var, out=c)
+        return [cross @ m for m in self.moments[:(1, 3, 6)[order]]]
 
     def derivatives(self, pts, order: int) -> list:
         """Value, gradient and Hessian of the mixture at pts, up to `order`,
@@ -131,8 +145,12 @@ class GaussianMixture:
 
 def in_blocks(fn, pts: np.ndarray, rows: int, *args) -> list:
     """fn(block, *args) on consecutive `rows`-row blocks of pts (one empty
-    block when pts is empty), each returned term joined over the blocks; BLAS
-    rounding depends on the row count, so each field keeps its own."""
+    block when pts is empty), each returned term joined over the blocks.
+
+    A block is the unit the BLAS calls of GaussianMixture.weight_sums see
+    whole: their rounding depends on the row count, so each field keeps its
+    own `rows`, and the cache tiling inside a block leaves the bytes as they
+    are."""
     parts = [fn(pts[s:s + rows], *args) for s in range(0, max(len(pts), 1), rows)]
     return [np.concatenate(p) for p in zip(*parts)]
 

@@ -115,11 +115,16 @@ class PathEnsemble:
                           float(self.terminal_gradient_norm[i]),
                           bool(self.converged[i]), int(self.trim_hint[i]))
 
+    def trim_drop(self, trims) -> np.ndarray:
+        """How many leading vertices each path drops when trimmed by trims[i]
+        (a scalar trims every path alike): each path keeps at least its last
+        vertex."""
+        return np.clip(trims, 0, np.diff(self.vertex_offsets) - 1)
+
     def trimmed(self, trims) -> "PathEnsemble":
-        """The paths without their first trims[i] vertices (a scalar trims
-        every path alike); each path keeps at least its last vertex."""
+        """The paths without their first trim_drop(trims)[i] vertices."""
         counts = np.diff(self.vertex_offsets)
-        drop = np.clip(trims, 0, counts - 1)
+        drop = self.trim_drop(trims)
         rank = np.arange(len(self.vertices)) - np.repeat(self.vertex_offsets[:-1], counts)
         keep = rank >= np.repeat(drop, counts)
         return PathEnsemble(self.vertices[keep],

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from pathdensity.flow import kde_flow_config, mean_shift_paths
-from pathdensity.kernels import (NORMALIZER, KernelDensityField, PointCloud,
-                                 gaussian, kde_density, kde_gradient,
-                                 kde_hessian)
-from pathdensity.model import cluster_model, two_gaussian_model
+from pathdensity.kernels import (_TILE, NORMALIZER, GaussianMixture,
+                                 KernelDensityField, PointCloud, gaussian,
+                                 kde_density, kde_gradient, kde_hessian)
+from pathdensity.model import FilamentModel, cluster_model, two_gaussian_model
 
 from conftest import fd_gradient, fd_hessian
 
@@ -200,3 +200,71 @@ def test_kde_is_the_equal_weight_cluster_model_at_its_data_points(small_cloud):
     for x in (np.array([0.3, -0.2]), rng.uniform(-3.0, 3.0, (1024, 2))):
         for a, b in zip(kde.derivatives(x, 2), model.derivatives(x - c, 2)):
             np.testing.assert_array_equal(a, b)
+
+
+# -- tiled weight block -------------------------------------------------------
+
+def untiled_weight_sums(mixture, pts, order):
+    """GaussianMixture.weight_sums as one untiled expression over the whole
+    block: the reference the row tiles must reproduce bit for bit."""
+    d2 = ((pts * pts).sum(axis=1)[:, None]
+          + (mixture.nodes * mixture.nodes).sum(axis=1)[None, :])
+    d2 -= 2.0 * (pts @ mixture.nodes.T)
+    phi = np.maximum(d2, 0.0, out=d2)
+    var = mixture.sigma * mixture.sigma
+    np.multiply(phi, -0.5 / var, out=phi)
+    np.exp(phi, out=phi)
+    np.divide(phi, 2.0 * np.pi * var, out=phi)
+    return [phi @ m for m in mixture.moments[:(1, 3, 6)[order]]]
+
+
+def bench_pentagon_mixture():
+    # the first pentagon of perfbench/run.py: five arcsine-weighted sides
+    ring = np.array([(0.312, 0.423), (0.550, 0.028), (0.828, 0.409),
+                     (0.512, 0.950), (0.144, 0.949), (0.312, 0.423)])
+    lengths = np.hypot(*np.diff(ring, axis=0).T)
+    model = FilamentModel.from_dict({"box": [0.0, 1.0, 0.0, 1.0], "filaments": [
+        {"vertices": ring[i:i + 2].tolist(), "sigma": 0.03, "weight": float(w),
+         "length_density": {"kind": "beta", "a": 0.5, "b": 0.5}}
+        for i, w in enumerate(lengths / lengths.sum())]})
+    (mixture,) = model._mixtures
+    return mixture
+
+
+def random_mixture(n_nodes):
+    rng = np.random.default_rng(n_nodes)
+    return GaussianMixture(0.3, rng.normal(size=(n_nodes, 2)),
+                           rng.dirichlet(np.ones(n_nodes)))
+
+
+@pytest.mark.parametrize("make, n_nodes", [
+    (lambda: two_gaussian_model()._mixtures[0], 2),
+    (lambda: random_mixture(150), 150),
+    (bench_pentagon_mixture, 1044),
+    (lambda: KernelDensityField(PointCloud(
+        np.random.default_rng(7).uniform(0.0, 1.0, (1600, 2))), 0.05).mixture,
+     1600),
+    (lambda: random_mixture(_TILE + 5), _TILE + 5),
+], ids=["two-gaussian", "150-nodes", "bench-pentagon", "kde-1600",
+        "more-nodes-than-a-tile"])
+def test_tiled_weight_sums_equal_the_untiled_block(make, n_nodes):
+    mixture = make()
+    assert len(mixture.nodes) == n_nodes
+    tile = max(1, _TILE // n_nodes)
+    # a block of 2,048 rows against 65,541 nodes would take 1 GB
+    sizes = {0, 1, tile - 1, tile, tile + 1, 1024, 2048}
+    sizes = sorted(m for m in sizes if m * n_nodes <= 2048 * 1600)
+    rng = np.random.default_rng(n_nodes + 1)
+    lo = mixture.nodes.min(axis=0) - 3 * mixture.sigma
+    hi = mixture.nodes.max(axis=0) + 3 * mixture.sigma
+    for m in sizes:
+        pts = rng.uniform(lo, hi, (m, 2))
+        # points on a node (the clamp at 0) and far off (weights underflow)
+        pts[:m // 8] = mixture.nodes[rng.integers(0, n_nodes, m // 8)]
+        pts[m // 8:m // 4] += 50.0 * (hi - lo)
+        for order in (0, 1, 2):
+            got = mixture.weight_sums(pts, order)
+            want = untiled_weight_sums(mixture, pts, order)
+            assert len(got) == len(want) == (1, 3, 6)[order]
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
