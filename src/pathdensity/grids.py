@@ -55,10 +55,6 @@ class GridSpec:
         gx, gy = np.meshgrid(self.xs(), self.ys(), indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel()])
 
-    def node_coords(self, i, j):
-        return np.column_stack([self.xmin + np.asarray(i) * self.dx,
-                                self.ymin + np.asarray(j) * self.dy])
-
 
 @dataclass
 class GridField:
@@ -91,8 +87,3 @@ class GridField:
                 + tx * (1 - ty) * v[i0 + 1, j0]
                 + (1 - tx) * ty * v[i0, j0 + 1]
                 + tx * ty * v[i0 + 1, j0 + 1])
-
-    def max_node(self):
-        """(i, j) index of the largest value."""
-        flat = int(np.argmax(self.values))
-        return np.unravel_index(flat, self.values.shape)

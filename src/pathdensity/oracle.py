@@ -14,7 +14,7 @@ import numpy as np
 
 from .flow import (FlowConfig, find_critical_points, mean_shift_paths,
                    trace_ascent_paths)
-from .geometry import Segments, segment_distances
+from .geometry import segment_distances
 from .grids import GridField, GridSpec
 from .kernels import PointCloud
 from .model import FilamentModel
@@ -110,57 +110,57 @@ def path_density_oracle(model: FilamentModel, x, r1: float, n_mc: int,
     return point_density_estimate(segs, x, r1)
 
 
+_HIT_BLOCK = 60_000  # pairs per (segment, stencil node) block, and segments per gather
+
+
 def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
     """Per-node counts of paths passing within each radius.
 
     Returns an int array of shape (len(radii), nx, ny); each path is counted
-    at most once per node. Costs O(total segments x local stencil): whole
-    paths are taken in blocks of about 6e4 (segment, stencil node) pairs, and
-    each hit is keyed path * n_nodes + node so that np.unique drops a
-    path's repeat hits on a node.
+    at most once per node. Costs O(total segments x local stencil): segments
+    are taken in blocks of about 6e4 (segment, stencil node) pairs, and each
+    hit is keyed path * n_nodes + node so that np.unique drops a path's repeat
+    hits on a node; the keys of a path cut by a block's end join the next
+    block's.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
-    rmax = radii[-1]
-    seg_len = np.hypot(segs.seg_b[:, 0] - segs.seg_a[:, 0],
-                       segs.seg_b[:, 1] - segs.seg_a[:, 1])
-    max_len = float(seg_len.max()) if len(seg_len) else 0.0
-
-    hx = int(np.ceil((rmax + 0.5 * max_len) / grid.dx)) + 1
-    hy = int(np.ceil((rmax + 0.5 * max_len) / grid.dy)) + 1
-    offs_x, offs_y = np.meshgrid(np.arange(-hx, hx + 1), np.arange(-hy, hy + 1),
-                                 indexing="ij")
-    offs_x = offs_x.ravel()
-    offs_y = offs_y.ravel()
-
     n_nodes = grid.nx * grid.ny
     counts = np.zeros((len(radii), n_nodes), dtype=np.int64)
-    xs0, ys0 = grid.xmin, grid.ymin
-    dx, dy = grid.dx, grid.dy
-    per_block = max(1, 60_000 // len(offs_x))  # segments; memory stays small
-
-    p = 0
-    while p < segs.n_paths:
-        # whole paths only, so that a path's hits are deduplicated together
-        lo = segs.offsets[p]
-        q = max(p + 1, np.searchsorted(segs.offsets, lo + per_block, "right") - 1)
-        hi = segs.offsets[q]
-        a = segs.seg_a[lo:hi]
-        b = segs.seg_b[lo:hi]
-        mid = 0.5 * (a + b)
-        bi = np.rint((mid[:, 0] - xs0) / dx).astype(np.int64)
-        bj = np.rint((mid[:, 1] - ys0) / dy).astype(np.int64)
-        ii = bi[:, None] + offs_x[None, :]
-        jj = bj[:, None] + offs_y[None, :]
-        ok = (ii >= 0) & (ii < grid.nx) & (jj >= 0) & (jj < grid.ny)
-        nodes = np.stack([xs0 + ii * dx, ys0 + jj * dy], axis=-1)
-        # (segments, stencil)
-        dist = segment_distances(nodes, Segments.between(a[:, None], b[:, None]))
-        path = np.repeat(np.arange(p, q), np.diff(segs.offsets[p:q + 1]))
-        keys = path[:, None] * n_nodes + (ii * grid.ny + jj)
-        for k, r in enumerate(radii):
-            hits = np.unique(keys[ok & (dist <= r)]) % n_nodes
-            counts[k] += np.bincount(hits, minlength=n_nodes)
-        p = q
+    carry = [np.empty(0, dtype=np.int64)] * len(radii)
+    xs0, ys0, dx, dy = grid.xmin, grid.ymin, grid.dx, grid.dy
+    n_seg = len(segs.seg_a)
+    # one gather serves many blocks: its cost is mostly per call
+    for start in range(0, n_seg, _HIT_BLOCK):
+        seg, path = segs.segment_block(start, min(start + _HIT_BLOCK, n_seg))
+        # nodes within the largest radius of a segment lie within reach of its
+        # midpoint; the stencil's one-node margin covers rounding of the midpoint
+        longest = np.sqrt(np.max(seg.len2, where=np.isfinite(seg.len2), initial=0.0))
+        reach = radii[-1] + 0.5 * longest
+        hx = int(np.ceil(reach / dx)) + 1
+        hy = int(np.ceil(reach / dy)) + 1
+        offs_x, offs_y = np.meshgrid(np.arange(-hx, hx + 1), np.arange(-hy, hy + 1),
+                                     indexing="ij")
+        offs_x = offs_x.ravel()
+        offs_y = offs_y.ravel()
+        per_block = max(1, _HIT_BLOCK // len(offs_x))
+        bi = np.rint((seg.ax + 0.5 * seg.dx - xs0) / dx).astype(np.int64)
+        bj = np.rint((seg.ay + 0.5 * seg.dy - ys0) / dy).astype(np.int64)
+        for lo in range(0, len(path), per_block):
+            b = slice(lo, lo + per_block)
+            ii = bi[b, None] + offs_x[None, :]
+            jj = bj[b, None] + offs_y[None, :]
+            ok = (ii >= 0) & (ii < grid.nx) & (jj >= 0) & (jj < grid.ny)
+            nodes = np.stack([xs0 + ii * dx, ys0 + jj * dy], axis=-1)
+            dist = segment_distances(nodes, seg.part((b, None)))  # (segments, stencil)
+            keys = path[b, None] * n_nodes + (ii * grid.ny + jj)
+            # u is sorted, so the keys of the block's last path, which may go
+            # on in the next block, are its tail (none after the final block)
+            tail = path[b][-1] if start + lo + per_block < n_seg else segs.n_paths
+            for k, r in enumerate(radii):
+                u = np.unique(np.concatenate([carry[k], keys[ok & (dist <= r)]]))
+                cut = np.searchsorted(u, tail * n_nodes)
+                carry[k] = u[cut:]
+                counts[k] += np.bincount(u[:cut] % n_nodes, minlength=n_nodes)
     return counts.reshape(len(radii), grid.nx, grid.ny)
 
 

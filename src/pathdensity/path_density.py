@@ -78,9 +78,10 @@ class PathEnsemble:
 
     Path i owns rows vertex_offsets[i]:vertex_offsets[i + 1] of `vertices`
     and `times`, and entry i of `converged` (stopped on a tolerance test),
-    `trim_hint` and `terminal_gradient_norm`. Its segments are rows
-    offsets[i]:offsets[i + 1] of seg_a -> seg_b: consecutive vertices, or
-    one zero-length segment when the path has a single vertex.
+    `trim_hint` and `terminal_gradient_norm`. Its segments are entries
+    offsets[i]:offsets[i + 1] of seg_a, the row in `vertices` where each
+    segment starts; a segment ends at the next vertex, or at its start when
+    the path has a single vertex.
     """
 
     def __init__(self, vertices, vertex_offsets, times, converged, trim_hint,
@@ -94,14 +95,9 @@ class PathEnsemble:
         self.trim_hint = trim_hint
         self.terminal_gradient_norm = terminal_gradient_norm
         counts = np.diff(vertex_offsets)
-        ends = vertex_offsets[1:]
-        single = counts == 1
-        keep_a = np.ones(len(vertices), dtype=bool)
-        keep_a[ends - 1] = single
-        keep_b = np.ones(len(vertices), dtype=bool)
-        keep_b[ends - counts] = single
-        self.seg_a = vertices[keep_a]
-        self.seg_b = vertices[keep_b]
+        starts = np.ones(len(vertices), dtype=bool)
+        starts[vertex_offsets[1:] - 1] = counts == 1
+        self.seg_a = np.flatnonzero(starts)
         self.offsets = np.concatenate([[0], np.cumsum(np.maximum(counts - 1, 1))])
 
     @property
@@ -121,22 +117,25 @@ class PathEnsemble:
         vertex."""
         return np.clip(trims, 0, np.diff(self.vertex_offsets) - 1)
 
-    def trimmed(self, trims) -> "PathEnsemble":
-        """The paths without their first trim_drop(trims)[i] vertices."""
-        counts = np.diff(self.vertex_offsets)
-        drop = self.trim_drop(trims)
-        rank = np.arange(len(self.vertices)) - np.repeat(self.vertex_offsets[:-1], counts)
-        keep = rank >= np.repeat(drop, counts)
-        return PathEnsemble(self.vertices[keep],
-                            np.concatenate([[0], np.cumsum(counts - drop)]),
-                            self.times[keep], self.converged,
-                            np.maximum(self.trim_hint - drop, 0),
-                            self.terminal_gradient_norm)
+    def segment_block(self, lo: int, hi: int) -> tuple[Segments, np.ndarray]:
+        """Segments lo:hi, gathered from `vertices`, and the path of each."""
+        first = np.searchsorted(self.offsets, lo, "right") - 1
+        end = np.searchsorted(self.offsets, hi)  # one past the last path
+        path = np.repeat(np.arange(first, end),
+                         np.diff(np.clip(self.offsets[first:end + 1], lo, hi)))
+        a = self.seg_a[lo:hi]
+        b = np.minimum(a + 1, self.vertex_offsets[path + 1] - 1)
+        return Segments.between(self.vertices[a], self.vertices[b]), path
 
     @cached_property
     def segments(self) -> Segments:
-        """seg_a -> seg_b with their projection constants, computed once."""
-        return Segments.between(self.seg_a, self.seg_b)
+        """All segments and their projection constants, gathered once."""
+        n_seg = len(self.seg_a)
+        out = np.empty((len(Segments._fields), n_seg))
+        # a block at a time, so that no temporary spans all segments
+        for lo in range(0, n_seg, _PAIR_BLOCK):
+            out[:, lo:lo + _PAIR_BLOCK] = self.segment_block(lo, min(lo + _PAIR_BLOCK, n_seg))[0]
+        return Segments(*out)
 
     def distances(self, points) -> np.ndarray:
         """Per-path min distance for each point: shape (m, n_paths).

@@ -105,7 +105,8 @@ def test_segment_mode_matches_path_mode():
     starts = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 0.0]])
     segs = trace_ascent_paths(field, starts, QUAD_CFG)
     assert segs.n_paths == 3
-    np.testing.assert_allclose(segs.seg_b[segs.offsets[1:] - 1],
+    last = segs.segments.part(segs.offsets[1:] - 1)
+    np.testing.assert_allclose(np.column_stack([last.ax + last.dx, last.ay + last.dy]),
                                [p.end for p in segs], atol=1e-12)
     # per-path segment counts agree with vertex counts (degenerate path keeps 1)
     counts = np.diff(segs.offsets)

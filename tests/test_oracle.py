@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pathdensity import oracle
 from pathdensity.flow import FlowConfig, find_critical_points
 from pathdensity.grids import GridSpec
 from pathdensity.kernels import PointCloud
@@ -120,13 +121,31 @@ def test_hit_fraction_linear_in_radius(triangle_batch):
 
 # -- raster hit counts --------------------------------------------------------
 
-def test_hit_counts_match_direct_distances():
-    model = two_gaussian_model()
-    segs = sample_and_trace(model, 500, np.random.default_rng(3))
-    grid = GridSpec(-2.0, 2.0, -1.5, 1.5, 9, 7)
-    counts = path_hit_counts(segs, grid, [0.05, 0.1])
+def _hit_count_case(case):
+    """An ensemble, a grid and two radii for the hit-count check."""
+    if case == "traced":
+        segs = sample_and_trace(two_gaussian_model(), 500, np.random.default_rng(3))
+        return segs, GridSpec(-2.0, 2.0, -1.5, 1.5, 9, 7), [0.05, 0.1]
+    # a lone vertex, then a path of 6,999 segments: longer than a block at
+    # every block size below, since the stencil has at least 3 x 3 nodes
+    t = np.linspace(0.0, 1.0, 7000)
+    wave = np.column_stack([t, 0.5 + 0.3 * np.sin(6 * np.pi * t)])
+    segs = polyline_ensemble([[[0.31, 0.52]], wave, [[0.2, 0.9], [0.7, 0.1]]])
+    return segs, GridSpec(0.0, 1.0, 0.0, 1.0, 11, 11), [0.02, 0.15]
+
+
+# 60,000 is the default block; 250 (segment, node) pairs give blocks of 10
+# segments on the traced case's 5 x 5 stencil, which cut most of its paths
+# (39 to 50 segments from the 10th to the 90th percentile); 1 gives
+# one-segment blocks
+@pytest.mark.parametrize("hit_block", [60_000, 250, 1])
+@pytest.mark.parametrize("case", ["traced", "polylines"])
+def test_hit_counts_match_direct_distances(monkeypatch, case, hit_block):
+    monkeypatch.setattr(oracle, "_HIT_BLOCK", hit_block)
+    segs, grid, radii = _hit_count_case(case)
+    counts = path_hit_counts(segs, grid, radii)
     nodes = grid.nodes()
-    for k, r in enumerate([0.05, 0.1]):
+    for k, r in enumerate(radii):
         direct = np.array([(segs.distances(p)[0] <= r).sum() for p in nodes])
         np.testing.assert_array_equal(counts[k].ravel(), direct)
 
@@ -141,7 +160,7 @@ def test_oracle_field_nonnegative_with_saturation():
     # saturated flags sit within r2 = 2 * max(2 * sigma/6, sigma/20) of a mode
     r2 = 2 * max(2 * 0.5 / 6.0, 0.5 / 20.0)
     ii, jj = np.nonzero(fld.saturated)
-    pts = grid.node_coords(ii, jj)
+    pts = np.column_stack([grid.xmin + ii * grid.dx, grid.ymin + jj * grid.dy])
     d = np.minimum(np.hypot(pts[:, 0] + 1, pts[:, 1]),
                    np.hypot(pts[:, 0] - 1, pts[:, 1]))
     assert d.max() <= r2 + 1e-9

@@ -42,16 +42,10 @@ def test_distance_perpendicular_foot():
 def test_trim_reduces_to_terminal_vertex():
     p = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
     ens = polyline_ensemble([p, p, p])
-    # per-path trims 0, 1 and beyond the path length
-    trimmed = ens.trimmed(np.array([0, 1, 10]))
-    np.testing.assert_array_equal(np.diff(trimmed.vertex_offsets), [3, 2, 1])
-    d = trimmed.distances([[0.0, 0.0], [0.0, 1.0]])
-    assert d[0, 0] == pytest.approx(0.0)
-    # trim beyond the path length: only the last vertex remains
-    assert d[0, 2] == pytest.approx(2.0)
-    assert d[1, 1] == pytest.approx(np.hypot(1, 1))
-    # a trim at the path length also keeps the last vertex
-    assert ens.trimmed(3).distances([0.0, 0.0])[0, 0] == pytest.approx(2.0)
+    # per-path trims 0, 1 and beyond the path length keep the last vertex
+    np.testing.assert_array_equal(ens.trim_drop(np.array([0, 1, 10])), [0, 1, 2])
+    # a scalar trim at the path length also keeps the last vertex
+    np.testing.assert_array_equal(ens.trim_drop(3), [2, 2, 2])
 
 
 # coarse coordinates repeat often, giving zero-length segments and queries
@@ -165,7 +159,7 @@ def test_field_max_at_node_nearest_shared_point():
     ens = degenerate_ensemble(z)
     grid = GridSpec(0.0, 1.0, 0.0, 1.0, 21, 21)
     fld = path_density_field(ens, 0.1, grid)
-    i, j = fld.max_node()
+    i, j = np.unravel_index(np.argmax(fld.values), fld.values.shape)
     assert abs(grid.xs()[i] - z[0]) <= grid.dx / 2 + 1e-12
     assert abs(grid.ys()[j] - z[1]) <= grid.dy / 2 + 1e-12
 
