@@ -6,9 +6,9 @@ from .flow import (CriticalPoint, FlowConfig, classify_critical_point,
 from .grids import GridField, GridSpec
 from .kernels import (KernelDensityField, PointCloud, kde_density, kde_gradient,
                       kde_hessian)
-from .levelset import (PlanarSet, containment_check, containment_radius,
-                       dilate, directed_hausdorff, hausdorff_distance,
-                       level_set, quantile_threshold, set_distance_consistency)
+from .levelset import (containment_check, containment_radius, dilate,
+                       directed_hausdorff, hausdorff_distance, level_set,
+                       quantile_threshold, set_distance_consistency)
 from .model import (Filament, FilamentModel, QuadratureSpec, cluster_model,
                     random_pentagon_model, two_gaussian_model)
 from .oracle import (PathDensityEstimate, PathMeasureEstimate, RateTable,

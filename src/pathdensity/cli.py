@@ -284,14 +284,14 @@ def cmd_estimate(args) -> int:
 
     fld = path_density_field(paths, nu, grid, workers=workers)
     lam = quantile_threshold(fld, cloud, args.quantile)
-    mask_set = level_set(fld, lam)
+    mask = level_set(fld, lam)
 
     write_paths_csv(out / "paths.csv", paths)
     write_field_csv(out / "field.csv", fld)
-    write_mask_csv(out / "levelset.csv", mask_set.mask, grid)
+    write_mask_csv(out / "levelset.csv", mask, grid)
     svg = render_four_panel_svg(
         cloud.points, paths, paths.trim_hint if trim is None else trim,
-        mask_set.mask, grid, bounds,
+        mask, grid, bounds,
     )
     with open(out / "figure.svg", "w", encoding="utf-8") as f:
         f.write(svg)
@@ -321,12 +321,9 @@ def cmd_oracle(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    cfg = model_flow_config(model)
-    crit = find_critical_points(model, model.box, cfg)
-    maxima = [c.location for c in crit if c.kind == "maximum"]
+    crit = find_critical_points(model, model.box, model_flow_config(model))
     rng = np.random.default_rng(args.seed)
-    fld = oracle_field(model, grid, args.n_mc, rng, r1=args.r1, cfg=cfg,
-                       maxima=maxima)
+    fld = oracle_field(model, grid, args.n_mc, rng, r1=args.r1)
     write_field_csv(out / "oracle_field.csv", fld)
     write_critical_points_csv(out / "critical_points.csv", crit)
     print(f"wrote oracle_field.csv and critical_points.csv in {out}")

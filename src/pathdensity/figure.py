@@ -61,15 +61,10 @@ def _polylines(tr, paths, trims, color, width=0.6):
 
 
 def _mask_rects(tr, mask, grid: GridSpec, color):
-    ii, jj = np.nonzero(mask)
-    if len(ii) == 0:
-        return ""
-    xs = grid.xmin + ii * grid.dx
-    ys = grid.ymin + jj * grid.dy
     w = grid.dx * tr.sx
     h = grid.dy * tr.sy
     out = []
-    for x, y in zip(xs, ys):
+    for x, y in grid.mask_points(mask):
         px, py = tr.to_px(x - grid.dx / 2, y + grid.dy / 2)
         out.append(f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(w)}" '
                    f'height="{_fmt(h)}" fill="{color}"/>')

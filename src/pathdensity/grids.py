@@ -55,21 +55,29 @@ class GridSpec:
         gx, gy = np.meshgrid(self.xs(), self.ys(), indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel()])
 
+    def mask_points(self, mask) -> np.ndarray:
+        """Coordinates (xmin + i dx, ymin + j dy) of the nodes an (nx, ny) bool
+        mask selects, shape (m, 2)."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (self.nx, self.ny):
+            raise ValueError("mask shape does not match the grid")
+        ii, jj = np.nonzero(mask)
+        return np.column_stack([self.xmin + ii * self.dx, self.ymin + jj * self.dy])
+
 
 @dataclass
 class GridField:
-    """Node values on a GridSpec, plus an optional saturated-maximum mask."""
+    """Finite node values on a GridSpec."""
 
     spec: GridSpec
     values: np.ndarray
-    saturated: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.spec.nx, self.spec.ny):
             raise ValueError(f"values shape {v.shape} != grid ({self.spec.nx}, {self.spec.ny})")
-        if self.saturated is None and not np.all(np.isfinite(v)):
-            raise ValueError("non-finite field values without a saturation mask")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("non-finite field values")
         self.values = v
 
     def interpolate(self, points) -> np.ndarray:

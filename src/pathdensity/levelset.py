@@ -1,5 +1,7 @@
 """Level sets of a raster field, dilations, Hausdorff distances, and the
-containment report that checks detected high-density cells against the truth."""
+containment report that checks detected high-density cells against the truth.
+A level set is an (nx, ny) bool node mask (`GridSpec.mask_points` gives its
+node coordinates); every other set is an (m, 2) array of points."""
 
 import math
 from dataclasses import dataclass, field
@@ -9,65 +11,6 @@ import numpy as np
 from .geometry import as_points
 from .grids import GridField, GridSpec
 from .kernels import PointCloud
-
-
-class PlanarSet:
-    """A subset of the plane: either sample points (optionally dilated by a
-    symbolic radius) or a boolean node mask on a grid."""
-
-    def __init__(self, points=None, mask=None, grid: GridSpec | None = None,
-                 radius: float = 0.0):
-        if (points is None) == (mask is None):
-            raise ValueError("provide exactly one of points / mask")
-        if mask is not None and grid is None:
-            raise ValueError("a mask needs its grid")
-        self.points = None if points is None else as_points(points)
-        self.mask = None if mask is None else np.asarray(mask, dtype=bool)
-        self.grid = grid
-        self.radius = float(radius)
-        if self.mask is not None and self.mask.shape != (grid.nx, grid.ny):
-            raise ValueError("mask shape does not match the grid")
-
-    @classmethod
-    def from_points(cls, points, radius: float = 0.0) -> "PlanarSet":
-        return cls(points=points, radius=radius)
-
-    @classmethod
-    def from_mask(cls, mask, grid: GridSpec) -> "PlanarSet":
-        return cls(mask=mask, grid=grid)
-
-    @property
-    def is_mask(self) -> bool:
-        return self.mask is not None
-
-    @property
-    def is_empty(self) -> bool:
-        if self.is_mask:
-            return not bool(self.mask.any())
-        return len(self.points) == 0
-
-    def member_points(self) -> np.ndarray:
-        """Core sample points (mask nodes or the stored points)."""
-        if self.is_mask:
-            ii, jj = np.nonzero(self.mask)
-            return np.column_stack([self.grid.xmin + ii * self.grid.dx,
-                                    self.grid.ymin + jj * self.grid.dy])
-        return self.points
-
-    def distance_to(self, query) -> np.ndarray:
-        """Distance from query points to the (dilated) set; 0 inside."""
-        from scipy.spatial import cKDTree
-
-        pts = self.member_points()
-        if len(pts) == 0:
-            raise ValueError("distance to an empty set is undefined")
-        tree = cKDTree(pts)
-        d, _ = tree.query(as_points(query))
-        return np.maximum(d - self.radius, 0.0)
-
-    def contains(self, query) -> np.ndarray:
-        return self.distance_to(query) <= 0.0 if self.radius > 0 else \
-            self.distance_to(query) == 0.0
 
 
 def quantile_lower_nearest_rank(values, q: float) -> float:
@@ -86,50 +29,44 @@ def quantile_threshold(fld: GridField, at: PointCloud, q: float) -> float:
     return quantile_lower_nearest_rank(fld.interpolate(at.points), q)
 
 
-def level_set(fld: GridField, level: float) -> PlanarSet:
-    """Nodes where the field strictly exceeds the level (saturated nodes count)."""
-    mask = fld.values > level
-    if fld.saturated is not None:
-        mask = mask | fld.saturated
-    return PlanarSet.from_mask(mask, fld.spec)
+def level_set(fld: GridField, level: float) -> np.ndarray:
+    """Nodes where the field strictly exceeds the level, an (nx, ny) bool mask."""
+    return fld.values > level
 
 
-def dilate(s: PlanarSet, r: float) -> PlanarSet:
-    """All points within distance < r of the set (r = 0 returns the set)."""
-    if r < 0:
+def dilate(mask, grid: GridSpec, r: float) -> np.ndarray:
+    """Nodes closer than r to a node of the mask (r = 0 returns the mask)."""
+    if not r >= 0:
         raise ValueError("dilation radius must be nonnegative")
-    if r == 0.0:
-        return s
-    if s.is_mask:
-        if not s.mask.any():
-            return s
-        from scipy.ndimage import distance_transform_edt
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (grid.nx, grid.ny):
+        raise ValueError("mask shape does not match the grid")
+    if r == 0.0 or not mask.any():
+        return mask
+    from scipy.ndimage import distance_transform_edt
 
-        dist = distance_transform_edt(~s.mask, sampling=(s.grid.dx, s.grid.dy))
-        return PlanarSet.from_mask(dist < r, s.grid)
-    return PlanarSet.from_points(s.points, radius=s.radius + r)
+    return distance_transform_edt(~mask, sampling=(grid.dx, grid.dy)) < r
 
 
-def directed_hausdorff(a: PlanarSet, b: PlanarSet) -> float:
-    """sup over a of the distance to b (on the core point samples)."""
+def directed_hausdorff(a, b) -> float:
+    """sup over the points of a of the distance to the nearest point of b."""
     from scipy.spatial import cKDTree
 
-    pa = a.member_points()
-    pb = b.member_points()
-    if len(pa) == 0 or len(pb) == 0:
+    a, b = as_points(a), as_points(b)
+    if len(a) == 0 or len(b) == 0:
         raise ValueError("Hausdorff distance needs nonempty sets")
-    d, _ = cKDTree(pb).query(pa)
+    d, _ = cKDTree(b).query(a)
     return float(d.max())
 
 
-def hausdorff_distance(a: PlanarSet, b: PlanarSet) -> float:
+def hausdorff_distance(a, b) -> float:
     return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 
 def containment_radius(sigma: float, level: float) -> float:
     """The dilation radius sigma * sqrt(2 log(1 / (2 pi sigma^2 level)));
     only defined while 2 pi sigma^2 level < 1."""
-    if sigma <= 0 or level <= 0:
+    if not (sigma > 0 and level > 0):
         raise ValueError("sigma and level must be positive")
     arg = 2.0 * np.pi * sigma * sigma * level
     if arg >= 1.0:
@@ -157,10 +94,10 @@ class ContainmentReport:
     notes: dict = field(default_factory=dict)
 
 
-def containment_check(level_cells: PlanarSet, truth: PlanarSet, sigma: float,
-                      level: float, eps: float, maxima=None, saddles=None,
+def containment_check(cells, truth, sigma: float, level: float, eps: float,
+                      maxima=None, saddles=None,
                       nu: float = 0.0) -> ContainmentReport:
-    """Check that high-density cells hug the truth set.
+    """Check that high-density cells hug the truth set, both point arrays.
 
     Cells within nu of a maximum are always removed (the density diverges
     there). Strict variant: saddle-adjacent cells removed too, the rest must
@@ -172,8 +109,12 @@ def containment_check(level_cells: PlanarSet, truth: PlanarSet, sigma: float,
         saddle_r = containment_radius(sigma, 4.0 * level)
     except ValueError:
         saddle_r = None
+    if not (0 <= eps < math.inf and 0 <= nu < math.inf):
+        raise ValueError("eps and nu must be finite and nonnegative")
+    cells, truth = as_points(cells), as_points(truth)
+    if len(truth) == 0:
+        raise ValueError("distance to an empty truth set is undefined")
 
-    cells = level_cells.member_points()
     n_cells = len(cells)
     if n_cells == 0:
         return ContainmentReport(level=level, base_radius=base_r,
@@ -193,7 +134,7 @@ def containment_check(level_cells: PlanarSet, truth: PlanarSet, sigma: float,
 
     near_max = near(cells, maxima)
     near_sad = near(cells, saddles)
-    d_truth = truth.distance_to(cells)
+    d_truth, _ = cKDTree(truth).query(cells)
 
     keep = ~near_max
     strict = keep & ~near_sad
@@ -219,9 +160,10 @@ def containment_check(level_cells: PlanarSet, truth: PlanarSet, sigma: float,
     )
 
 
-def set_distance_consistency(true_set: PlanarSet, est_set: PlanarSet) -> float:
-    """Hausdorff distance between truth and estimate masks; an empty estimate
-    reports an infinite sentinel rather than raising."""
-    if est_set.is_empty or true_set.is_empty:
+def set_distance_consistency(true_set, est_set) -> float:
+    """Hausdorff distance between the truth and estimate point sets; an empty
+    set reports an infinite sentinel rather than raising."""
+    true_set, est_set = as_points(true_set), as_points(est_set)
+    if len(est_set) == 0 or len(true_set) == 0:
         return math.inf
     return hausdorff_distance(true_set, est_set)

@@ -53,13 +53,11 @@ def model_flow_config(model: FilamentModel) -> FlowConfig:
 
 
 def sample_and_trace(model: FilamentModel, n_mc: int, rng: np.random.Generator,
-                     cfg: FlowConfig | None = None,
                      refine_disks=None) -> PathEnsemble:
     """Draw n_mc points from the model and trace their ascent on its density."""
-    if cfg is None:
-        cfg = model_flow_config(model)
     cloud = model.sample(n_mc, rng)
-    return trace_ascent_paths(model, cloud.points, cfg, refine_disks=refine_disks)
+    return trace_ascent_paths(model, cloud.points, model_flow_config(model),
+                              refine_disks=refine_disks)
 
 
 def ball_hit_estimate(segs: PathEnsemble, center, r: float) -> PathMeasureEstimate:
@@ -166,34 +164,23 @@ def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
 
 def oracle_field(model: FilamentModel, grid: GridSpec, n_mc: int,
                  rng: np.random.Generator, r1: float | None = None,
-                 cfg: FlowConfig | None = None, maxima=None,
                  segs: PathEnsemble | None = None) -> GridField:
     """Monte-Carlo path-density raster on the grid.
 
-    r1 defaults to max(2 tracing steps, sigma/20). Nodes within r2 = 2 r1 of
-    a known maximum are flagged saturated (the density diverges there).
-    A pre-traced batch can be passed through `segs` (n_mc and rng are then
-    ignored), so several rasters can share one set of paths.
+    r1 defaults to max(2 tracing steps, sigma/20). A pre-traced batch can be
+    passed through `segs` (n_mc and rng are then ignored), so several rasters
+    can share one set of paths.
     """
-    if cfg is None:
-        cfg = model_flow_config(model)
     if r1 is None:
-        r1 = max(2.0 * cfg.step_scale, model.max_sigma / 20.0)
+        r1 = max(2.0 * model_flow_config(model).step_scale, model.max_sigma / 20.0)
     r2 = 2.0 * r1
     if segs is None:
-        segs = sample_and_trace(model, n_mc, rng, cfg=cfg)
+        segs = sample_and_trace(model, n_mc, rng)
     counts = path_hit_counts(segs, grid, [r1, r2])
     f1 = counts[0] / segs.n_paths
     f2 = counts[1] / segs.n_paths
     values = np.maximum(2.0 * f1 / r1 - f2 / r2, 0.0)
-    saturated = None
-    if maxima is not None and len(maxima):
-        maxima = np.asarray(maxima, dtype=float).reshape(-1, 2)
-        nodes = grid.nodes()
-        d = np.min(np.hypot(nodes[:, 0][:, None] - maxima[:, 0][None, :],
-                            nodes[:, 1][:, None] - maxima[:, 1][None, :]), axis=1)
-        saturated = (d <= r2).reshape(grid.nx, grid.ny)
-    return GridField(spec=grid, values=values, saturated=saturated)
+    return GridField(spec=grid, values=values)
 
 
 def true_path_ensemble(cloud: PointCloud, model: FilamentModel) -> PathEnsemble:
@@ -272,13 +259,11 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
     seq = np.random.SeedSequence(seed)
     oracle_seed, *run_seeds = seq.spawn(1 + len(n_list) * replicates)
 
-    cfg_true = model_flow_config(model)
-    crit = find_critical_points(model, model.box, cfg_true)
+    crit = find_critical_points(model, model.box, model_flow_config(model))
     excl = np.asarray([c.location for c in crit
                        if c.kind in ("maximum", "saddle")], dtype=float)
 
-    segs = sample_and_trace(model, oracle_n_mc,
-                            np.random.default_rng(oracle_seed), cfg=cfg_true)
+    segs = sample_and_trace(model, oracle_n_mc, np.random.default_rng(oracle_seed))
     counts = path_hit_counts(segs, probe_grid, [oracle_r1, 2 * oracle_r1])
     truth = np.maximum(2.0 * counts[0] / (oracle_n_mc * oracle_r1)
                        - counts[1] / (oracle_n_mc * 2.0 * oracle_r1), 0.0)

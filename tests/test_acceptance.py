@@ -25,7 +25,7 @@ from pathdensity.flow import (FlowConfig, find_critical_points,
 from pathdensity.grids import GridSpec
 from pathdensity.kernels import (PointCloud, kde_density, kde_gradient,
                                  kde_hessian)
-from pathdensity.levelset import (PlanarSet, containment_check,
+from pathdensity.levelset import (containment_check,
                                   directed_hausdorff, level_set,
                                   quantile_threshold, set_distance_consistency)
 from pathdensity.model import (FilamentModel, cluster_model,
@@ -286,18 +286,17 @@ def test_criterion_7_containment(pentagon, pentagon_critical, pentagon_segs):
     maxima = [c.location for c in pentagon_critical if c.kind == "maximum"]
     saddles = [c.location for c in pentagon_critical if c.kind == "saddle"]
     grid = GridSpec(0.0, 1.0, 0.0, 1.0, 200, 200)
-    fld = oracle_field(model, grid, 0, None, maxima=maxima,
-                       segs=pentagon_segs)
+    fld = oracle_field(model, grid, 0, None, segs=pentagon_segs)
     lam = quantile_threshold(fld, cloud, 0.9)
     ls = level_set(fld, lam)
-    truth = PlanarSet.from_points(model.anchor_points())
     eps = 2 * grid.cell_diagonal
     nu = default_bandwidths(cloud.n, cloud.spread).nu
-    rep = containment_check(ls, truth, sigma=model.max_sigma, level=lam,
-                            eps=eps, maxima=maxima, saddles=saddles, nu=nu)
+    rep = containment_check(grid.mask_points(ls), model.anchor_points(),
+                            sigma=model.max_sigma, level=lam, eps=eps,
+                            maxima=maxima, saddles=saddles, nu=nu)
     print(f"  level {lam:.3f}, radius {rep.base_radius:.4f} + eps {eps:.4f}, "
           f"{rep.n_strict} cells, fraction {rep.fraction_strict:.4f}")
-    assert not ls.is_empty
+    assert ls.any()
     assert rep.fraction_strict >= 0.99
     report(7, "level set hugs the true filaments", time.time() - t0, 600.0)
 
@@ -320,10 +319,8 @@ def test_criterion_8_end_to_end(tmp_path):
         for line in (out / "levelset.csv").read_text().splitlines()[1:]:
             i, j, _x, _y = line.split(",")
             mask[int(i), int(j)] = True
-        ls = PlanarSet.from_mask(mask, grid)
-        edges = PlanarSet.from_points(
-            np.concatenate([f.vertices for f in model.filaments]))
-        dists.append(directed_hausdorff(ls, edges))
+        edges = np.concatenate([f.vertices for f in model.filaments])
+        dists.append(directed_hausdorff(grid.mask_points(mask), edges))
     med = float(np.median(dists))
     print(f"  directed level-set -> edges distances: "
           f"{[round(d, 4) for d in dists]}, median {med:.4f}")
@@ -340,7 +337,7 @@ def test_criterion_9_levelset_distance_trend(pentagon, pentagon_segs):
     ofld = oracle_field(model, grid, 0, None, segs=pentagon_segs)
     q = 0.85
     lam_true = quantile_threshold(ofld, ref_cloud, q)
-    true_set = level_set(ofld, lam_true)
+    true_set = grid.mask_points(level_set(ofld, lam_true))
     seeds = np.random.SeedSequence(55).spawn(15)
     k = 0
     medians = {}
@@ -355,7 +352,8 @@ def test_criterion_9_levelset_distance_trend(pentagon, pentagon_segs):
                                      min_displacement=1e-3 * bw.h)
             fld = path_density_field(paths, bw.nu, grid)
             est_set = level_set(fld, quantile_threshold(fld, cloud, q))
-            ds.append(set_distance_consistency(true_set, est_set))
+            ds.append(set_distance_consistency(true_set,
+                                               grid.mask_points(est_set)))
         medians[n] = float(np.median(ds))
     print(f"  median mask distances: {medians}")
     assert medians[500] >= medians[2000] >= medians[8000]

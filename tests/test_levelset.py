@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pathdensity.grids import GridField, GridSpec
 from pathdensity.kernels import PointCloud
-from pathdensity.levelset import (PlanarSet, containment_check,
+from pathdensity.levelset import (containment_check,
                                   containment_radius, dilate,
                                   directed_hausdorff, hausdorff_distance,
                                   level_set, quantile_lower_nearest_rank,
@@ -49,45 +49,85 @@ def test_quantile_rejects_bad_level():
 
 def test_level_set_empty_above_max():
     fld = field_from(lambda p: p[:, 0])
-    assert level_set(fld, 2.0).is_empty
+    assert not level_set(fld, 2.0).any()
 
 
 def test_level_set_full_below_min():
     fld = field_from(lambda p: p[:, 0])
-    assert level_set(fld, -1.0).mask.all()
+    assert level_set(fld, -1.0).all()
 
 
 def test_level_set_nesting():
     fld = field_from(lambda p: np.sin(7 * p[:, 0]) + p[:, 1])
-    lo = level_set(fld, 0.3).mask
-    hi = level_set(fld, 0.8).mask
+    lo = level_set(fld, 0.3)
+    hi = level_set(fld, 0.8)
     assert np.all(hi <= lo)
 
 
 def test_level_set_strict_inequality():
     fld = field_from(lambda p: np.full(len(p), 1.0))
-    assert level_set(fld, 1.0).is_empty  # ties excluded
+    assert not level_set(fld, 1.0).any()  # ties excluded
 
 
-def test_saturated_nodes_always_included():
-    values = np.zeros((GRID.nx, GRID.ny))
-    sat = np.zeros_like(values, dtype=bool)
-    sat[3, 4] = True
-    fld = GridField(GRID, values, saturated=sat)
-    assert level_set(fld, 100.0).mask[3, 4]
+def test_level_set_is_a_bool_mask_of_the_grid():
+    fld = field_from(lambda p: p[:, 0])
+    mask = level_set(fld, 0.5)
+    assert mask.dtype == bool and mask.shape == (GRID.nx, GRID.ny)
+
+
+def test_grid_field_refuses_non_finite_values():
+    for bad in (np.nan, np.inf):
+        values = np.zeros((GRID.nx, GRID.ny))
+        values[3, 4] = bad
+        with pytest.raises(ValueError):
+            GridField(GRID, values)
+
+
+def test_mask_points_are_the_selected_nodes():
+    m = np.zeros((GRID.nx, GRID.ny), dtype=bool)
+    m[3, 4] = m[0, 20] = True
+    np.testing.assert_array_equal(
+        GRID.mask_points(m), [[0.0, 1.0], [3 * GRID.dx, 4 * GRID.dy]])
+    assert GRID.mask_points(np.zeros_like(m)).shape == (0, 2)
+
+
+def test_mask_points_refuses_a_mask_of_the_wrong_shape():
+    with pytest.raises(ValueError):
+        GRID.mask_points(np.ones((GRID.nx, GRID.ny + 1), dtype=bool))
 
 
 # -- dilation -----------------------------------------------------------------
 
+def one_node(i, j):
+    m = np.zeros((GRID.nx, GRID.ny), dtype=bool)
+    m[i, j] = True
+    return m
+
+
 def test_dilate_zero_radius_is_identity():
-    s = PlanarSet.from_points([[0.5, 0.5]])
-    assert dilate(s, 0.0) is s
+    m = one_node(10, 10)
+    assert dilate(m, GRID, 0.0) is m
 
 
-def test_dilate_point_gives_disk():
-    s = dilate(PlanarSet.from_points([[0.0, 0.0]]), 0.5)
-    assert s.contains([[0.3, 0.3]])[0]
-    assert not s.contains([[0.4, 0.4]])[0]
+def test_dilate_node_gives_disk():
+    # the nodes closer than r = 0.13 (2.6 spacings) to a node: 21 of them
+    r = 0.13
+    ii, jj = np.indices((GRID.nx, GRID.ny))
+    disk = np.hypot((ii - 10) * GRID.dx, (jj - 10) * GRID.dy) < r
+    d = dilate(one_node(10, 10), GRID, r)
+    np.testing.assert_array_equal(d, disk)
+    assert d.sum() == 21
+
+
+def test_dilate_refuses_nan_and_negative_radius():
+    for r in (np.nan, -0.1):
+        with pytest.raises(ValueError):
+            dilate(one_node(10, 10), GRID, r)
+
+
+def test_dilate_refuses_a_mask_of_the_wrong_shape():
+    with pytest.raises(ValueError):
+        dilate(np.ones((GRID.nx - 1, GRID.ny), dtype=bool), GRID, 0.1)
 
 
 def test_dilate_mask_monotone():
@@ -95,36 +135,34 @@ def test_dilate_mask_monotone():
     a[10, 10] = True
     b = a.copy()
     b[5, 5] = True
-    da = dilate(PlanarSet.from_mask(a, GRID), 0.13)
-    db = dilate(PlanarSet.from_mask(b, GRID), 0.13)
-    assert np.all(da.mask <= db.mask)
-    assert da.mask.sum() > 1
+    da = dilate(a, GRID, 0.13)
+    db = dilate(b, GRID, 0.13)
+    assert np.all(da <= db)
+    assert da.sum() > 1
 
 
 def test_dilate_contains_original_mask():
     fld = field_from(lambda p: np.hypot(p[:, 0] - 0.5, p[:, 1] - 0.5))
     s = level_set(fld, 0.3)
-    d = dilate(s, 1.5 * GRID.cell_diagonal)
-    assert np.all(d.mask >= s.mask)
-    assert d.mask.sum() > s.mask.sum()
+    d = dilate(s, GRID, 1.5 * GRID.cell_diagonal)
+    assert np.all(d >= s)
+    assert d.sum() > s.sum()
 
 
 # -- hausdorff ----------------------------------------------------------------
 
 def test_hausdorff_identical_sets():
-    s = PlanarSet.from_points([[0.0, 0.0], [1.0, 1.0]])
+    s = [[0.0, 0.0], [1.0, 1.0]]
     assert hausdorff_distance(s, s) == 0.0
 
 
 def test_hausdorff_two_points():
-    a = PlanarSet.from_points([[0.0, 0.0]])
-    b = PlanarSet.from_points([[3.0, 4.0]])
-    assert hausdorff_distance(a, b) == pytest.approx(5.0)
+    assert hausdorff_distance([[0.0, 0.0]], [[3.0, 4.0]]) == pytest.approx(5.0)
 
 
 def test_directed_hausdorff_subset_is_zero():
-    a = PlanarSet.from_points([[0.0, 0.0], [1.0, 0.0]])
-    b = PlanarSet.from_points([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
+    a = [[0.0, 0.0], [1.0, 0.0]]
+    b = [[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]]
     assert directed_hausdorff(a, b) == 0.0
     assert directed_hausdorff(b, a) > 0.0
 
@@ -135,7 +173,7 @@ def test_hausdorff_symmetry_and_triangle_on_masks():
     for _ in range(3):
         m = rng.random((GRID.nx, GRID.ny)) < 0.15
         m[rng.integers(GRID.nx), rng.integers(GRID.ny)] = True
-        masks.append(PlanarSet.from_mask(m, GRID))
+        masks.append(GRID.mask_points(m))
     a, b, c = masks
     assert hausdorff_distance(a, b) == hausdorff_distance(b, a)
     dab = hausdorff_distance(a, b)
@@ -145,10 +183,17 @@ def test_hausdorff_symmetry_and_triangle_on_masks():
 
 
 def test_hausdorff_rejects_empty():
-    empty = PlanarSet.from_mask(np.zeros((GRID.nx, GRID.ny), dtype=bool), GRID)
-    full = PlanarSet.from_points([[0.0, 0.0]])
+    empty = GRID.mask_points(np.zeros((GRID.nx, GRID.ny), dtype=bool))
     with pytest.raises(ValueError):
-        hausdorff_distance(empty, full)
+        hausdorff_distance(empty, [[0.0, 0.0]])
+
+
+def test_hausdorff_refuses_points_not_of_shape_m_by_2():
+    for bad in (np.zeros((3, 3)), np.zeros(3), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            hausdorff_distance(bad, [[0.0, 0.0]])
+        with pytest.raises(ValueError):
+            directed_hausdorff([[0.0, 0.0]], bad)
 
 
 # -- containment radius -------------------------------------------------------
@@ -171,6 +216,12 @@ def test_containment_radius_domain_error():
         containment_radius(sigma, 1.0 / (2 * np.pi * sigma**2))
 
 
+def test_containment_radius_refuses_nan():
+    for sigma, level in ((np.nan, 1.0), (0.1, np.nan)):
+        with pytest.raises(ValueError):
+            containment_radius(sigma, level)
+
+
 @settings(max_examples=60, deadline=None)
 @given(lam=st.floats(0.01, 0.9))
 def test_containment_radius_decreasing_in_level(lam):
@@ -186,8 +237,8 @@ def test_containment_radius_decreasing_in_level(lam):
 def test_containment_full_domain_truth():
     fld = field_from(lambda p: p[:, 0] + p[:, 1])
     ls = level_set(fld, 1.0)
-    truth = PlanarSet.from_points(GRID.nodes())
-    report = containment_check(ls, truth, sigma=0.1, level=1.0,
+    report = containment_check(GRID.mask_points(ls), GRID.nodes(), sigma=0.1,
+                               level=1.0,
                                eps=GRID.cell_diagonal)
     assert report.fraction_strict == 1.0
     assert report.fraction_relaxed == 1.0
@@ -196,8 +247,8 @@ def test_containment_full_domain_truth():
 def test_containment_empty_level_set_vacuous():
     fld = field_from(lambda p: np.zeros(len(p)))
     ls = level_set(fld, 5.0)
-    truth = PlanarSet.from_points([[0.5, 0.5]])
-    report = containment_check(ls, truth, sigma=0.1, level=5.0, eps=0.01)
+    report = containment_check(GRID.mask_points(ls), [[0.5, 0.5]], sigma=0.1,
+                               level=5.0, eps=0.01)
     assert report.n_level_cells == 0
     assert report.fraction_strict == 1.0
     assert report.notes.get("empty_level_set")
@@ -208,10 +259,10 @@ def test_containment_reports_saddle_relaxation():
     # enough that the 4x level still has a radius
     fld = field_from(lambda p: np.hypot(p[:, 0] - 0.5, p[:, 1] - 0.5) < 0.3)
     ls = level_set(fld, 0.5)
-    truth = PlanarSet.from_points([[0.5, 0.5]])
     sigma = 0.2
     lam = 0.1 / (2 * np.pi * sigma**2)
-    report = containment_check(ls, truth, sigma=sigma, level=lam, eps=0.05,
+    report = containment_check(GRID.mask_points(ls), [[0.5, 0.5]], sigma=sigma,
+                               level=lam, eps=0.05,
                                maxima=[[0.5, 0.5]], saddles=[[0.2, 0.5]],
                                nu=0.08)
     assert report.saddle_radius is not None
@@ -219,19 +270,34 @@ def test_containment_reports_saddle_relaxation():
     assert report.n_strict <= report.n_relaxed
 
 
+def test_containment_refuses_nan_eps_and_nu():
+    cells = GRID.mask_points(one_node(10, 10))
+    for eps, nu in ((np.nan, 0.0), (0.01, np.nan), (-0.01, 0.0)):
+        with pytest.raises(ValueError):
+            containment_check(cells, [[0.5, 0.5]], sigma=0.1, level=1.0,
+                              eps=eps, maxima=[[0.5, 0.5]], nu=nu)
+
+
+def test_containment_refuses_points_not_of_shape_m_by_2():
+    good = [[0.5, 0.5]]
+    for cells, truth in ((np.zeros((3, 3)), good), (good, np.zeros((3, 3)))):
+        with pytest.raises(ValueError):
+            containment_check(cells, truth, sigma=0.1, level=1.0, eps=0.01)
+
+
 # -- set distance -------------------------------------------------------------
 
 def test_set_distance_identical_masks():
     m = np.zeros((GRID.nx, GRID.ny), dtype=bool)
     m[4:7, 4:7] = True
-    a = PlanarSet.from_mask(m, GRID)
-    b = PlanarSet.from_mask(m.copy(), GRID)
+    a = GRID.mask_points(m)
+    b = GRID.mask_points(m.copy())
     assert set_distance_consistency(a, b) == 0.0
 
 
 def test_set_distance_empty_estimate_sentinel():
     m = np.zeros((GRID.nx, GRID.ny), dtype=bool)
     m[4, 4] = True
-    a = PlanarSet.from_mask(m, GRID)
-    empty = PlanarSet.from_mask(np.zeros_like(m), GRID)
+    a = GRID.mask_points(m)
+    empty = GRID.mask_points(np.zeros_like(m))
     assert math.isinf(set_distance_consistency(a, empty))

@@ -16,7 +16,7 @@ import pytest
 
 from pathdensity.cli import main
 from pathdensity.model import FilamentModel
-from pathdensity.oracle import model_flow_config, sample_and_trace
+from pathdensity.oracle import sample_and_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,7 +64,6 @@ def test_tracer_runs_oracle(sims, tmp_path):
         s["name"] for s in spans}
     # the traced segment count is the ensemble's, from the same draws
     model = FilamentModel.load(sims / "tg" / "model.json")
-    segs = sample_and_trace(model, 50, np.random.default_rng(1),
-                            cfg=model_flow_config(model))
+    segs = sample_and_trace(model, 50, np.random.default_rng(1))
     [trace] = [s for s in spans if s["name"] == "oracle.sample_and_trace"]
     assert trace["counts"]["segments"] == segs.offsets[-1]
