@@ -4,11 +4,10 @@ from .flow import (CriticalPoint, FlowConfig, classify_critical_point,
                    find_critical_points, kde_flow_config, mean_shift_paths,
                    trace_ascent_paths)
 from .grids import GridField, GridSpec
-from .kernels import (KernelDensityField, PointCloud, kde_density, kde_gradient,
-                      kde_hessian)
-from .levelset import (containment_check, containment_radius, dilate,
+from .kernels import KernelDensityField, PointCloud, kde_density, kde_gradient
+from .levelset import (containment_check, containment_radius,
                        directed_hausdorff, hausdorff_distance, level_set,
-                       quantile_threshold, set_distance_consistency)
+                       quantile_threshold)
 from .model import (Filament, FilamentModel, QuadratureSpec, cluster_model,
                     random_pentagon_model, two_gaussian_model)
 from .oracle import (PathDensityEstimate, PathMeasureEstimate, RateTable,

@@ -21,7 +21,8 @@ from .grids import GridField, GridSpec
 from .kernels import BANDWIDTHS, KernelDensityField, PointCloud
 from .levelset import level_set, quantile_threshold
 from .model import FilamentModel, random_pentagon_model, two_gaussian_model
-from .oracle import convergence_experiment, model_flow_config, oracle_field
+from .oracle import (convergence_experiment, default_r1, model_flow_config,
+                     oracle_field)
 from .parallel import worker_count
 from .path_density import PathEnsemble, default_bandwidths, path_density_field
 
@@ -146,6 +147,14 @@ def _load_model(args) -> FilamentModel:
         return FilamentModel.load(p)
     except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError too
         raise DataError(f"{p}: not a valid model ({type(e).__name__}: {e})")
+
+
+def _load_traced_model(args) -> FilamentModel:
+    """A saved model with a filament or cluster to scale the oracle's tracing."""
+    model = _load_model(args)
+    if model.max_sigma <= 0:
+        raise DataError(f"{args.model_json}: no filament or cluster to trace")
+    return model
 
 
 # -- commands -----------------------------------------------------------------
@@ -306,24 +315,23 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    model = _load_model(args)
+    model = _load_traced_model(args)
     _check_seed(args, "oracle")
     if args.n_mc < 1:
         raise UsageError("--n-mc must be at least 1")
-    sig = model.max_sigma
     xmin, xmax, ymin, ymax = model.box
-    pad = 2 * sig
+    pad = 2 * model.max_sigma
     bounds = (_parse_bounds(args.bounds) if args.bounds
               else (xmin - pad, xmax + pad, ymin - pad, ymax + pad))
     grid = _grid_spec(args, bounds)
-    if args.r1 is not None:
-        _check_radius("--r1", args.r1, grid)
+    r1 = default_r1(model) if args.r1 is None else args.r1
+    _check_radius("--r1" if args.r1 is not None else "the default --r1", r1, grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     crit = find_critical_points(model, model.box, model_flow_config(model))
     rng = np.random.default_rng(args.seed)
-    fld = oracle_field(model, grid, args.n_mc, rng, r1=args.r1)
+    fld = oracle_field(model, grid, args.n_mc, rng, r1=r1)
     write_field_csv(out / "oracle_field.csv", fld)
     write_critical_points_csv(out / "critical_points.csv", crit)
     print(f"wrote oracle_field.csv and critical_points.csv in {out}")
@@ -345,7 +353,7 @@ def cmd_converge(args) -> int:
     if args.oracle_n_mc < 1:
         raise UsageError("--oracle-n-mc must be at least 1")
     if args.model_json:
-        model = _load_model(args)
+        model = _load_traced_model(args)
     elif args.model == "two-gaussian":
         model = two_gaussian_model()
     else:

@@ -206,7 +206,3 @@ def kde_gradient(cloud: PointCloud, h: float, x):
     """Analytic gradient of the KDE at x."""
     return KernelDensityField(cloud, h).derivatives(x, 1)[1]
 
-
-def kde_hessian(cloud: PointCloud, h: float, x):
-    """Analytic Hessian of the KDE at x; exactly symmetric by construction."""
-    return KernelDensityField(cloud, h).derivatives(x, 2)[2]

@@ -52,6 +52,11 @@ def model_flow_config(model: FilamentModel) -> FlowConfig:
                       min_displacement=1e-6 * sigma, max_halvings=30)
 
 
+def default_r1(model: FilamentModel) -> float:
+    """The oracle's default inner ball radius: max(2 tracing steps, sigma/20)."""
+    return max(2.0 * model_flow_config(model).step_scale, model.max_sigma / 20.0)
+
+
 def sample_and_trace(model: FilamentModel, n_mc: int, rng: np.random.Generator,
                      refine_disks=None) -> PathEnsemble:
     """Draw n_mc points from the model and trace their ascent on its density."""
@@ -167,12 +172,11 @@ def oracle_field(model: FilamentModel, grid: GridSpec, n_mc: int,
                  segs: PathEnsemble | None = None) -> GridField:
     """Monte-Carlo path-density raster on the grid.
 
-    r1 defaults to max(2 tracing steps, sigma/20). A pre-traced batch can be
-    passed through `segs` (n_mc and rng are then ignored), so several rasters
-    can share one set of paths.
+    r1 defaults to `default_r1(model)`. A pre-traced batch can be passed
+    through `segs` (n_mc and rng are then ignored), so several rasters can
+    share one set of paths.
     """
-    if r1 is None:
-        r1 = max(2.0 * model_flow_config(model).step_scale, model.max_sigma / 20.0)
+    r1 = default_r1(model) if r1 is None else r1
     r2 = 2.0 * r1
     if segs is None:
         segs = sample_and_trace(model, n_mc, rng)

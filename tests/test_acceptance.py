@@ -23,11 +23,11 @@ from pathdensity.cli import main as cli_main
 from pathdensity.flow import (FlowConfig, find_critical_points,
                               mean_shift_paths, trace_ascent_paths)
 from pathdensity.grids import GridSpec
-from pathdensity.kernels import (PointCloud, kde_density, kde_gradient,
-                                 kde_hessian)
-from pathdensity.levelset import (containment_check,
-                                  directed_hausdorff, level_set,
-                                  quantile_threshold, set_distance_consistency)
+from pathdensity.kernels import (KernelDensityField, PointCloud, kde_density,
+                                 kde_gradient)
+from pathdensity.levelset import (containment_check, directed_hausdorff,
+                                  hausdorff_distance, level_set,
+                                  quantile_threshold)
 from pathdensity.model import (FilamentModel, cluster_model,
                                random_pentagon_model, two_gaussian_model)
 from pathdensity.oracle import (convergence_experiment, model_flow_config,
@@ -129,7 +129,7 @@ def test_criterion_2_derivative_oracles(pentagon):
         g = kde_gradient(cloud, h, x)
         fd = fd_gradient(lambda p: kde_density(cloud, h, p), x, step)
         assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(g)
-        H = kde_hessian(cloud, h, x)
+        H = KernelDensityField(cloud, h).derivatives(x, 2)[2]
         fdH = fd_hessian(lambda p: kde_gradient(cloud, h, p), x, step)
         assert np.linalg.norm(H - fdH) <= 1e-5 * np.linalg.norm(H)
 
@@ -352,8 +352,7 @@ def test_criterion_9_levelset_distance_trend(pentagon, pentagon_segs):
                                      min_displacement=1e-3 * bw.h)
             fld = path_density_field(paths, bw.nu, grid)
             est_set = level_set(fld, quantile_threshold(fld, cloud, q))
-            ds.append(set_distance_consistency(true_set,
-                                               grid.mask_points(est_set)))
+            ds.append(hausdorff_distance(true_set, grid.mask_points(est_set)))
         medians[n] = float(np.median(ds))
     print(f"  median mask distances: {medians}")
     assert medians[500] >= medians[2000] >= medians[8000]

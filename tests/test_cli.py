@@ -437,6 +437,22 @@ def test_invalid_model_file_exits_3(tmp_path, capsys, argv, kind):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle"],
+    ["converge", "--n", "50,100", "--reps", "1", *FAST_CONVERGE],
+], ids=["oracle", "converge"])
+def test_model_with_nothing_to_trace_exits_3(tmp_path, capsys, argv):
+    # background only: no filament or cluster sets the tracing scale
+    bg = tmp_path / "model.json"
+    bg.write_text(json.dumps({"version": 1, "box": [0, 1, 0, 1],
+                              "background_weight": 1.0}))
+    assert run(*argv, "--model-json", str(bg), "--seed", "1",
+               "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bg) in err
+    assert not (tmp_path / "o").exists()
+
+
 # -- oracle -------------------------------------------------------------------
 
 def test_oracle_requires_model(tmp_path):
@@ -456,6 +472,21 @@ def test_oracle_smoke(tmp_path):
              (out / "critical_points.csv").read_text().splitlines()[1:]]
     assert kinds.count("maximum") == 2
     assert kinds.count("saddle") == 1
+
+
+def test_oracle_default_r1_is_bounded_by_the_grid(two_gaussian_json, tmp_path,
+                                                  capsys, monkeypatch):
+    # the default r1 (sigma / 3 = 0.167 here) against a grid of side 0.01:
+    # its stencil would hold about 1.8e8 nodes, so counting must never start
+    def refuse(*args, **kwargs):
+        raise AssertionError("path_hit_counts reached")
+
+    monkeypatch.setattr("pathdensity.oracle.path_hit_counts", refuse)
+    assert run("oracle", "--model-json", str(two_gaussian_json), "--seed", "1",
+               "--bounds", "0,0.01,0,0.01", "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the default --r1 ")
+    assert not (tmp_path / "o").exists()
 
 
 # -- converge -----------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from pathdensity.flow import kde_flow_config, mean_shift_paths
 from pathdensity.kernels import (_TILE, NORMALIZER, GaussianMixture,
                                  KernelDensityField, PointCloud, gaussian,
-                                 kde_density, kde_gradient, kde_hessian)
+                                 kde_density, kde_gradient)
 from pathdensity.model import FilamentModel, cluster_model, two_gaussian_model
 
 from conftest import fd_gradient, fd_hessian
@@ -108,7 +108,7 @@ def test_bandwidth_outside_the_float_range_rejected(small_cloud, h):
     x = np.zeros(2)
     calls = [lambda: kde_density(small_cloud, h, x),
              lambda: kde_gradient(small_cloud, h, x),
-             lambda: kde_hessian(small_cloud, h, x),
+             lambda: KernelDensityField(small_cloud, h).derivatives(x, 2)[2],
              lambda: KernelDensityField(small_cloud, h),
              lambda: kde_flow_config(small_cloud, h),
              lambda: mean_shift_paths(small_cloud, h, [x])]
@@ -130,14 +130,14 @@ def test_gradient_zero_at_symmetric_configurations():
 
 def test_hessian_at_single_point_peak():
     cloud = PointCloud(np.zeros((1, 2)))
-    H = kde_hessian(cloud, 1.0, np.zeros(2))
+    H = KernelDensityField(cloud, 1.0).derivatives(np.zeros(2), 2)[2]
     np.testing.assert_allclose(H, -np.eye(2) / (2.0 * np.pi), rtol=1e-14)
 
 
 def test_hessian_exactly_symmetric(small_cloud):
     rng = np.random.default_rng(7)
     pts = rng.standard_normal((20, 2))
-    H = kde_hessian(small_cloud, 0.6, pts)
+    H = KernelDensityField(small_cloud, 0.6).derivatives(pts, 2)[2]
     np.testing.assert_array_equal(H[:, 0, 1], H[:, 1, 0])
 
 
@@ -151,7 +151,7 @@ def test_derivatives_match_finite_differences(small_cloud):
         fd = fd_gradient(lambda p: kde_density(small_cloud, h, p),
                          x, step)
         assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(g), 1e-12)
-        H = kde_hessian(small_cloud, h, x)
+        H = KernelDensityField(small_cloud, h).derivatives(x, 2)[2]
         fdH = fd_hessian(lambda p: kde_gradient(small_cloud, h, p),
                          x, step)
         assert np.linalg.norm(H - fdH) <= 1e-5 * max(np.linalg.norm(H), 1e-12)
@@ -174,8 +174,9 @@ def test_derivatives_equal_the_views(small_cloud):
     kde = KernelDensityField(small_cloud, 0.5)
     model = two_gaussian_model()
     views = {
-        kde: [lambda x, f=f: f(small_cloud, 0.5, x)
-              for f in (kde_density, kde_gradient, kde_hessian)],
+        kde: [lambda x: kde_density(small_cloud, 0.5, x),
+              lambda x: kde_gradient(small_cloud, 0.5, x),
+              lambda x: KernelDensityField(small_cloud, 0.5).derivatives(x, 2)[2]],
         model: [model.value, model.gradient, model.hessian],
     }
     for field, (value, gradient, hessian) in views.items():

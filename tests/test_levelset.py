@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from pathdensity.grids import GridField, GridSpec
 from pathdensity.kernels import PointCloud
-from pathdensity.levelset import (containment_check,
-                                  containment_radius, dilate,
+from pathdensity.levelset import (containment_check, containment_radius,
                                   directed_hausdorff, hausdorff_distance,
                                   level_set, quantile_lower_nearest_rank,
-                                  quantile_threshold, set_distance_consistency)
+                                  quantile_threshold)
 
 GRID = GridSpec(0.0, 1.0, 0.0, 1.0, 21, 21)
 
@@ -96,59 +95,6 @@ def test_mask_points_refuses_a_mask_of_the_wrong_shape():
         GRID.mask_points(np.ones((GRID.nx, GRID.ny + 1), dtype=bool))
 
 
-# -- dilation -----------------------------------------------------------------
-
-def one_node(i, j):
-    m = np.zeros((GRID.nx, GRID.ny), dtype=bool)
-    m[i, j] = True
-    return m
-
-
-def test_dilate_zero_radius_is_identity():
-    m = one_node(10, 10)
-    assert dilate(m, GRID, 0.0) is m
-
-
-def test_dilate_node_gives_disk():
-    # the nodes closer than r = 0.13 (2.6 spacings) to a node: 21 of them
-    r = 0.13
-    ii, jj = np.indices((GRID.nx, GRID.ny))
-    disk = np.hypot((ii - 10) * GRID.dx, (jj - 10) * GRID.dy) < r
-    d = dilate(one_node(10, 10), GRID, r)
-    np.testing.assert_array_equal(d, disk)
-    assert d.sum() == 21
-
-
-def test_dilate_refuses_nan_and_negative_radius():
-    for r in (np.nan, -0.1):
-        with pytest.raises(ValueError):
-            dilate(one_node(10, 10), GRID, r)
-
-
-def test_dilate_refuses_a_mask_of_the_wrong_shape():
-    with pytest.raises(ValueError):
-        dilate(np.ones((GRID.nx - 1, GRID.ny), dtype=bool), GRID, 0.1)
-
-
-def test_dilate_mask_monotone():
-    a = np.zeros((GRID.nx, GRID.ny), dtype=bool)
-    a[10, 10] = True
-    b = a.copy()
-    b[5, 5] = True
-    da = dilate(a, GRID, 0.13)
-    db = dilate(b, GRID, 0.13)
-    assert np.all(da <= db)
-    assert da.sum() > 1
-
-
-def test_dilate_contains_original_mask():
-    fld = field_from(lambda p: np.hypot(p[:, 0] - 0.5, p[:, 1] - 0.5))
-    s = level_set(fld, 0.3)
-    d = dilate(s, GRID, 1.5 * GRID.cell_diagonal)
-    assert np.all(d >= s)
-    assert d.sum() > s.sum()
-
-
 # -- hausdorff ----------------------------------------------------------------
 
 def test_hausdorff_identical_sets():
@@ -182,12 +128,6 @@ def test_hausdorff_symmetry_and_triangle_on_masks():
     assert dac <= dab + dbc + 1e-12
 
 
-def test_hausdorff_rejects_empty():
-    empty = GRID.mask_points(np.zeros((GRID.nx, GRID.ny), dtype=bool))
-    with pytest.raises(ValueError):
-        hausdorff_distance(empty, [[0.0, 0.0]])
-
-
 def test_hausdorff_refuses_points_not_of_shape_m_by_2():
     for bad in (np.zeros((3, 3)), np.zeros(3), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError):
@@ -217,7 +157,9 @@ def test_containment_radius_domain_error():
 
 
 def test_containment_radius_refuses_nan():
-    for sigma, level in ((np.nan, 1.0), (0.1, np.nan)):
+    # 2 pi sigma^2 level underflows to 0, or is subnormal and 1 / it overflows
+    for sigma, level in ((np.nan, 1.0), (0.1, np.nan), (1e-200, 1.0),
+                         (0.1, 1e-320)):
         with pytest.raises(ValueError):
             containment_radius(sigma, level)
 
@@ -234,6 +176,12 @@ def test_containment_radius_decreasing_in_level(lam):
 
 # -- containment check --------------------------------------------------------
 
+def one_node(i, j):
+    m = np.zeros((GRID.nx, GRID.ny), dtype=bool)
+    m[i, j] = True
+    return m
+
+
 def test_containment_full_domain_truth():
     fld = field_from(lambda p: p[:, 0] + p[:, 1])
     ls = level_set(fld, 1.0)
@@ -241,7 +189,6 @@ def test_containment_full_domain_truth():
                                level=1.0,
                                eps=GRID.cell_diagonal)
     assert report.fraction_strict == 1.0
-    assert report.fraction_relaxed == 1.0
 
 
 def test_containment_empty_level_set_vacuous():
@@ -251,12 +198,11 @@ def test_containment_empty_level_set_vacuous():
                                level=5.0, eps=0.01)
     assert report.n_level_cells == 0
     assert report.fraction_strict == 1.0
-    assert report.notes.get("empty_level_set")
 
 
 def test_containment_reports_saddle_relaxation():
-    # cells near the saddle get the larger radius; here the level is low
-    # enough that the 4x level still has a radius
+    # cells within nu of the saddle leave the strict test, as do those near
+    # the maximum
     fld = field_from(lambda p: np.hypot(p[:, 0] - 0.5, p[:, 1] - 0.5) < 0.3)
     ls = level_set(fld, 0.5)
     sigma = 0.2
@@ -265,9 +211,11 @@ def test_containment_reports_saddle_relaxation():
                                level=lam, eps=0.05,
                                maxima=[[0.5, 0.5]], saddles=[[0.2, 0.5]],
                                nu=0.08)
-    assert report.saddle_radius is not None
-    assert report.saddle_radius < report.base_radius
-    assert report.n_strict <= report.n_relaxed
+    assert report.n_strict < report.n_level_cells
+    no_saddle = containment_check(GRID.mask_points(ls), [[0.5, 0.5]],
+                                  sigma=sigma, level=lam, eps=0.05,
+                                  maxima=[[0.5, 0.5]], nu=0.08)
+    assert report.n_strict < no_saddle.n_strict < report.n_level_cells
 
 
 def test_containment_refuses_nan_eps_and_nu():
@@ -285,6 +233,16 @@ def test_containment_refuses_points_not_of_shape_m_by_2():
             containment_check(cells, truth, sigma=0.1, level=1.0, eps=0.01)
 
 
+def test_containment_refuses_maxima_and_saddles_not_of_shape_m_by_2():
+    # a (2, 3) array is not three points
+    cells = GRID.mask_points(one_node(10, 10))
+    for bad in (np.zeros((2, 3)), np.zeros((2, 2, 2))):
+        for centers in ({"maxima": bad}, {"saddles": bad}):
+            with pytest.raises(ValueError):
+                containment_check(cells, [[0.5, 0.5]], sigma=0.1, level=1.0,
+                                  eps=0.01, nu=0.05, **centers)
+
+
 # -- set distance -------------------------------------------------------------
 
 def test_set_distance_identical_masks():
@@ -292,12 +250,18 @@ def test_set_distance_identical_masks():
     m[4:7, 4:7] = True
     a = GRID.mask_points(m)
     b = GRID.mask_points(m.copy())
-    assert set_distance_consistency(a, b) == 0.0
+    assert hausdorff_distance(a, b) == 0.0
 
 
 def test_set_distance_empty_estimate_sentinel():
+    # the set distance is infinite from or to an empty set; the directed
+    # distance, a sup over a's points, refuses an empty set
     m = np.zeros((GRID.nx, GRID.ny), dtype=bool)
     m[4, 4] = True
     a = GRID.mask_points(m)
     empty = GRID.mask_points(np.zeros_like(m))
-    assert math.isinf(set_distance_consistency(a, empty))
+    assert math.isinf(hausdorff_distance(a, empty))
+    assert math.isinf(hausdorff_distance(empty, a))
+    for x, y in ((a, empty), (empty, a)):
+        with pytest.raises(ValueError):
+            directed_hausdorff(x, y)
