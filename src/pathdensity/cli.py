@@ -54,7 +54,11 @@ def write_points_csv(path, points: np.ndarray):
 
 def read_points_csv(path) -> PointCloud:
     rows = []
-    with open(path, "r", encoding="utf-8") as f:
+    try:
+        f = open(path, "r", encoding="utf-8")
+    except OSError as e:  # missing, a directory, unreadable
+        raise UsageError(f"{path}: {e.strerror}")
+    with f:
         try:
             lines = list(f)
         except UnicodeDecodeError as e:
@@ -141,11 +145,12 @@ def _load_model(args) -> FilamentModel:
     if not getattr(args, "model_json", None):
         raise UsageError("this command needs --model-json (a saved model file)")
     p = Path(args.model_json)
-    if not p.exists():
-        raise UsageError(f"model file not found: {p}")
     try:
         return FilamentModel.load(p)
-    except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError too
+    except OSError as e:  # missing, a directory, unreadable
+        raise UsageError(f"{p}: {e.strerror}")
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        # AttributeError: a list or number where an object belongs; ValueError: bad JSON too
         raise DataError(f"{p}: not a valid model ({type(e).__name__}: {e})")
 
 
@@ -158,8 +163,18 @@ def _load_traced_model(args) -> FilamentModel:
 
 
 # -- commands -----------------------------------------------------------------
-# Each command validates its flags and inputs before it creates --out, so a
-# refused run leaves no directory behind.
+
+def _make_out(args) -> Path:
+    """Create --out, or reuse it as it is when it is a directory. Each command
+    validates its flags and inputs before this, so a refused run leaves no
+    directory behind."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # FileExistsError when --out is a file
+        raise UsageError(f"{out}: cannot create the output directory ({e.strerror})")
+    return out
+
 
 def _check_seed(args, command):
     if args.seed is None:
@@ -198,8 +213,7 @@ def cmd_simulate(args) -> int:
         name = args.model if args.model is not None else "pentagon"
         model, cloud = _builtin_model(name, args.n, args.seed)
         source = name
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(args)
     write_points_csv(out / "points.csv", cloud.points)
     doc = model.to_dict()
     doc["meta"] = {
@@ -264,13 +278,15 @@ def cmd_estimate(args) -> int:
     if cloud.spread <= 0:
         raise DataError(f"{args.points}: all points coincide (spread 0)")
 
-    if args.h is not None and args.nu is not None:
-        h, nu = args.h, args.nu
-    else:
-        plan = default_bandwidths(cloud.n, cloud.spread, c_h=args.c_h, c_nu=args.c_nu)
-        h = args.h if args.h is not None else plan.h
-        nu = args.nu if args.nu is not None else plan.nu
     lo, hi = BANDWIDTHS
+    if args.h is None or args.nu is None:
+        try:
+            plan = default_bandwidths(cloud.n, cloud.spread, c_h=args.c_h, c_nu=args.c_nu)
+        except ValueError:  # n and spread are valid: a bandwidth underflowed to 0
+            raise UsageError(f"bandwidths must lie in [{lo:g}, {hi:g}]; the default rule "
+                             f"underflows at --c-h {args.c_h!r}, --c-nu {args.c_nu!r}")
+    h = args.h if args.h is not None else plan.h
+    nu = args.nu if args.nu is not None else plan.nu
     if not (lo <= h <= hi and lo <= nu <= hi):
         raise UsageError(f"bandwidths must lie in [{lo:g}, {hi:g}], "
                          f"not h = {h!r}, nu = {nu!r}")
@@ -282,8 +298,7 @@ def cmd_estimate(args) -> int:
                                | (y < grid.ymin) | (y > grid.ymax))
     if outside:
         raise UsageError(f"--bounds exclude {outside} of {cloud.n} data points")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(args)
 
     if args.tracer == "meanshift":
         paths = mean_shift_paths(cloud, h, cloud.points)
@@ -326,8 +341,7 @@ def cmd_oracle(args) -> int:
     grid = _grid_spec(args, bounds)
     r1 = default_r1(model) if args.r1 is None else args.r1
     _check_radius("--r1" if args.r1 is not None else "the default --r1", r1, grid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(args)
 
     crit = find_critical_points(model, model.box, model_flow_config(model))
     rng = np.random.default_rng(args.seed)
@@ -360,8 +374,7 @@ def cmd_converge(args) -> int:
         raise UsageError("converge needs --model two-gaussian or --model-json")
     probe = GridSpec.from_bounds(model.box, args.probes)
     _check_radius("--oracle-r1", args.oracle_r1, probe)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(args)
     table = convergence_experiment(model, n_list, args.reps, probe, args.seed,
                                    oracle_n_mc=args.oracle_n_mc,
                                    oracle_r1=args.oracle_r1)

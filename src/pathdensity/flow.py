@@ -102,7 +102,7 @@ class _Recorder:
         self.times.append(t)
         self.values.append(val)
 
-    def build(self, active, terminal_gnorm) -> PathEnsemble:
+    def build(self, active) -> PathEnsemble:
         # Monte-Carlo batches are large: free each list once it is flat
         ids = np.concatenate(self.ids)
         self.ids.clear()
@@ -128,7 +128,7 @@ class _Recorder:
         hint[(gain <= 0) | (hint >= counts)] = 0
 
         return PathEnsemble(verts, np.concatenate([[0], ends]), times,
-                            ~active & ~self.stalled, hint, terminal_gnorm)
+                            ~active & ~self.stalled, hint)
 
 
 def _spectral_radius(H):
@@ -252,7 +252,7 @@ def trace_ascent_paths(field: ScalarField, starts, cfg: FlowConfig,
         done = (gn1 < cfg.grad_tolerance) | (disp < cfg.min_displacement)
         active[idx[done]] = False
 
-    return rec.build(active, gnorm)
+    return rec.build(active)
 
 
 def mean_shift_paths(cloud: PointCloud, h: float, starts,
@@ -302,10 +302,8 @@ def mean_shift_paths(cloud: PointCloud, h: float, starts,
 
     # every path's last vertex is still unrecorded
     pos += c
-    val, grad = field.derivatives(pos, 1)
-    rec.record(np.arange(m), pos, t, val)
-    gnorm = np.hypot(grad[:, 0], grad[:, 1])
-    return rec.build(active, gnorm)
+    rec.record(np.arange(m), pos, t, field.derivatives(pos, 0)[0])
+    return rec.build(active)
 
 
 def classify_critical_point(hessian, degeneracy_tol: float) -> str:

@@ -113,18 +113,3 @@ def polyline_self_intersects(vertices: np.ndarray) -> bool:
     proper = (d1 * d2 < 0) & (d3 * d4 < 0)
     return bool(proper.any())
 
-
-def convex_hull_contains(hull_points: np.ndarray, query: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Membership of query points in the convex hull of `hull_points`, padded by tol."""
-    from scipy.spatial import ConvexHull
-
-    hull_points = np.asarray(hull_points, dtype=float)
-    q = as_points(query)
-    if len(hull_points) < 3:
-        # degenerate hull: distance to the single point or the segment
-        ends = Segments.between(hull_points[0], hull_points[-1])
-        return segment_distances(q, ends) <= tol
-    hull = ConvexHull(hull_points)
-    # hull.equations: outward normals, A x + b <= 0 inside
-    vals = q @ hull.equations[:, :2].T + hull.equations[:, 2][None, :]
-    return (vals <= tol).all(axis=1)

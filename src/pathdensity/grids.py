@@ -40,10 +40,6 @@ class GridSpec:
     def dy(self) -> float:
         return (self.ymax - self.ymin) / (self.ny - 1)
 
-    @property
-    def cell_diagonal(self) -> float:
-        return float(np.hypot(self.dx, self.dy))
-
     def xs(self) -> np.ndarray:
         return np.linspace(self.xmin, self.xmax, self.nx)
 

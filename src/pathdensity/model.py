@@ -86,15 +86,6 @@ class Filament:
 
         return self.length * betaincinv(self.beta_a, self.beta_b, u)
 
-    def weight_pdf(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.weight == "uniform":
-            return np.full(s.shape, 1.0 / self.length)
-        from scipy.special import betaln
-
-        a, b, t = self.beta_a, self.beta_b, s / self.length
-        return t**(a - 1) * (1 - t)**(b - 1) / np.exp(betaln(a, b)) / self.length
-
     def _n_intervals(self, nodes_per_interval: int, nodes_per_sigma: int) -> int:
         # enough CDF intervals for the target node density over the central
         # 99.8% of the weight mass
@@ -315,10 +306,6 @@ class FilamentModel:
         return cls(filaments, fw, clusters, cw,
                    background_weight=float(d.get("background_weight", 0.0)),
                    box=tuple(d["box"]))
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=1, sort_keys=True)
 
     @classmethod
     def load(cls, path) -> "FilamentModel":

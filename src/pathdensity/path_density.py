@@ -53,7 +53,6 @@ class AscentPath:
 
     vertices: np.ndarray
     times: np.ndarray
-    terminal_gradient_norm: float
     converged: bool
     trim_hint: int
 
@@ -77,15 +76,13 @@ class PathEnsemble:
     """A bundle of traced paths in flat arrays, one path per start point.
 
     Path i owns rows vertex_offsets[i]:vertex_offsets[i + 1] of `vertices`
-    and `times`, and entry i of `converged` (stopped on a tolerance test),
-    `trim_hint` and `terminal_gradient_norm`. Its segments are entries
-    offsets[i]:offsets[i + 1] of seg_a, the row in `vertices` where each
-    segment starts; a segment ends at the next vertex, or at its start when
-    the path has a single vertex.
+    and `times`, and entry i of `converged` (stopped on a tolerance test)
+    and `trim_hint`. Its segments are entries offsets[i]:offsets[i + 1] of
+    seg_a, the row in `vertices` where each segment starts; a segment ends
+    at the next vertex, or at its start when the path has a single vertex.
     """
 
-    def __init__(self, vertices, vertex_offsets, times, converged, trim_hint,
-                 terminal_gradient_norm):
+    def __init__(self, vertices, vertex_offsets, times, converged, trim_hint):
         if len(vertex_offsets) < 2:
             raise ValueError("ensemble needs at least one path")
         self.vertices = vertices
@@ -93,7 +90,6 @@ class PathEnsemble:
         self.times = times
         self.converged = converged
         self.trim_hint = trim_hint
-        self.terminal_gradient_norm = terminal_gradient_norm
         counts = np.diff(vertex_offsets)
         starts = np.ones(len(vertices), dtype=bool)
         starts[vertex_offsets[1:] - 1] = counts == 1
@@ -108,7 +104,6 @@ class PathEnsemble:
         i = range(self.n_paths)[i]
         lo, hi = self.vertex_offsets[i], self.vertex_offsets[i + 1]
         return AscentPath(self.vertices[lo:hi], self.times[lo:hi],
-                          float(self.terminal_gradient_norm[i]),
                           bool(self.converged[i]), int(self.trim_hint[i]))
 
     def trim_drop(self, trims) -> np.ndarray:

@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from pathdensity.geometry import Segments, as_points, segment_distances
 from pathdensity.kernels import PointCloud
 from pathdensity.oracle import point_density_terms
 from pathdensity.path_density import PathEnsemble
@@ -28,7 +29,23 @@ def polyline_ensemble(polylines) -> PathEnsemble:
     vertices = np.concatenate(polylines) if n else np.empty((0, 2))
     times = np.arange(len(vertices), dtype=float) - np.repeat(offsets[:-1], counts)
     return PathEnsemble(vertices, offsets, times, np.ones(n, dtype=bool),
-                        np.zeros(n, dtype=np.int64), np.zeros(n))
+                        np.zeros(n, dtype=np.int64))
+
+
+def convex_hull_contains(hull_points, query, tol: float = 0.0) -> np.ndarray:
+    """Membership of query points in the convex hull of `hull_points`, padded by tol."""
+    from scipy.spatial import ConvexHull
+
+    hull_points = np.asarray(hull_points, dtype=float)
+    q = as_points(query)
+    if len(hull_points) < 3:
+        # degenerate hull: distance to the single point or the segment
+        ends = Segments.between(hull_points[0], hull_points[-1])
+        return segment_distances(q, ends) <= tol
+    hull = ConvexHull(hull_points)
+    # hull.equations: outward normals, A x + b <= 0 inside
+    vals = q @ hull.equations[:, :2].T + hull.equations[:, 2][None, :]
+    return (vals <= tol).all(axis=1)
 
 
 def fd_gradient(value_fn, x, step):

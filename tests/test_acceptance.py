@@ -289,7 +289,7 @@ def test_criterion_7_containment(pentagon, pentagon_critical, pentagon_segs):
     fld = oracle_field(model, grid, 0, None, segs=pentagon_segs)
     lam = quantile_threshold(fld, cloud, 0.9)
     ls = level_set(fld, lam)
-    eps = 2 * grid.cell_diagonal
+    eps = 2 * np.hypot(grid.dx, grid.dy)
     nu = default_bandwidths(cloud.n, cloud.spread).nu
     rep = containment_check(grid.mask_points(ls), model.anchor_points(),
                             sigma=model.max_sigma, level=lam, eps=eps,

@@ -192,16 +192,27 @@ def test_estimate_malformed_csv_exits_3_with_line(tmp_path, capsys):
     ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--workers", "0"], 2),
     ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--workers", "-3"], 2),
     ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--tracer", "bogus"], 2),
+    # spread 0.008: the default rule's bandwidth underflows to 0
+    ("0.001,0.002\n0.005,0.005\n0.003,0.009\n", ["--c-h", "5e-324"], 2),
+    ("0.001,0.002\n0.005,0.005\n0.003,0.009\n", ["--c-nu", "5e-324"], 2),
 ], ids=["nan-row", "coincident", "quantile", "grid", "negative-trim", "bounds",
         "bounds-exclude-data", "h-nan", "h-inf", "nu-nan", "nu-inf", "c-h-nan",
         "c-h-negative", "c-nu-zero", "bounds-infinite", "workers-0",
-        "workers-negative", "tracer"])
+        "workers-negative", "tracer", "c-h-underflow", "c-nu-underflow"])
 def test_estimate_bad_input_exit_codes(tmp_path, capsys, rows, flags, code):
     pts = tmp_path / "points.csv"
     pts.write_text("x,y\n" + rows)
     assert run("estimate", "--points", str(pts), "--out", str(tmp_path / "o"),
                *flags) == code
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_given_bandwidths_leave_the_constants_unused(tmp_path):
+    pts = tmp_path / "points.csv"
+    pts.write_text("x,y\n0.001,0.002\n0.005,0.005\n0.003,0.009\n")
+    assert run("estimate", "--points", str(pts), "--out", str(tmp_path / "o"),
+               "--grid", "10", "--h", "0.01", "--nu", "0.01",
+               "--c-h", "5e-324", "--c-nu", "5e-324") == 0
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
@@ -233,6 +244,21 @@ def test_non_utf8_points_file_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: not UTF-8 text")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["estimate", "--points"], "nope.csv"),
+    (["estimate", "--points"], "."),
+    (["oracle", "--seed", "1", "--model-json"], "nope.json"),
+    (["oracle", "--seed", "1", "--model-json"], "."),
+], ids=["points-missing", "points-directory", "model-missing",
+        "model-directory"])
+def test_unreadable_input_path_exits_2(tmp_path, capsys, argv, name):
+    path = tmp_path / name
+    assert run(*argv, str(path), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 _NUMBER = st.one_of(st.floats(), st.integers().map(float)).map(repr)
@@ -290,6 +316,24 @@ def test_refused_run_leaves_no_out_directory(two_gaussian_json, tmp_path, argv,
               "simulate": []}[argv[0]]
     assert run(*argv, *inputs, "--out", str(tmp_path / "o")) == code
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "1"],
+    ["estimate", "--points", "POINTS"],
+    ["oracle", "--seed", "1", "--model-json", "MODEL"],
+    ["converge", "--seed", "1", "--model-json", "MODEL"],
+], ids=["simulate", "estimate", "oracle", "converge"])
+def test_out_naming_a_file_exits_2(two_gaussian_json, tmp_path, capsys, argv):
+    pts = tmp_path / "points.csv"
+    pts.write_text("x,y\n0.1,0.2\n0.5,0.5\n0.3,0.9\n")
+    names = {"POINTS": str(pts), "MODEL": str(two_gaussian_json)}
+    out = tmp_path / "o"
+    out.write_text("kept")
+    assert run(*(names.get(a, a) for a in argv), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and len(err.splitlines()) == 1
+    assert out.read_text() == "kept"
 
 
 def test_mean_shift_underflow_exits_4(pentagon_points, tmp_path, capsys,
@@ -397,6 +441,11 @@ INVALID_MODELS = {
         "version": 1, "box": [-1, 2, -1, 2],
         "filaments": [{"vertices": [[0, 0], [1, 1], [1, 0], [0, 1]],
                        "sigma": 0.05, "weight": 1.0}]}),
+    # a list or number where the model needs an object
+    "top-level-list": "[]",
+    "top-level-number": "3",
+    "filament-list": json.dumps({"version": 1, "box": [-1, 2, -1, 1],
+                                 "filaments": [[1, 2]]}),
 }
 # one parameter of a one-filament or one-cluster model made non-finite,
 # non-positive or of the wrong length (json writes nan and inf as NaN and

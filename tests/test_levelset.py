@@ -187,7 +187,7 @@ def test_containment_full_domain_truth():
     ls = level_set(fld, 1.0)
     report = containment_check(GRID.mask_points(ls), GRID.nodes(), sigma=0.1,
                                level=1.0,
-                               eps=GRID.cell_diagonal)
+                               eps=np.hypot(GRID.dx, GRID.dy))
     assert report.fraction_strict == 1.0
 
 

@@ -5,12 +5,12 @@ import pytest
 from scipy.stats import beta as beta_dist
 
 from pathdensity.flow import FlowConfig, find_critical_points
-from pathdensity.geometry import convex_hull_contains, polyline_self_intersects
+from pathdensity.geometry import polyline_self_intersects
 from pathdensity.model import (Filament, FilamentModel, QuadratureSpec,
                                cluster_model, random_pentagon_model,
                                two_gaussian_model)
 
-from conftest import fd_gradient, fd_hessian
+from conftest import convex_hull_contains, fd_gradient, fd_hessian
 
 
 def unit_filament(weight="uniform", sigma=0.05):
@@ -44,10 +44,13 @@ def test_weight_density_integrates_to_one():
         s = f.weight_ppf(u)
         eps = 1e-6
         dppf = (f.weight_ppf(u + eps) - f.weight_ppf(u - eps)) / (2 * eps)
-        assert dppf == pytest.approx(1.0 / f.weight_pdf(s), rel=1e-5)
+        pdf = beta_dist.pdf(s / f.length, f.beta_a, f.beta_b) / f.length
+        assert dppf == pytest.approx(1.0 / pdf, rel=1e-5)
+    # the uniform ppf's slope is 1 / pdf: the density 1 / length
     g = unit_filament(weight="uniform")
-    s = np.linspace(0, g.length, 1001)
-    assert np.trapezoid(g.weight_pdf(s), s) == pytest.approx(1.0, abs=1e-8)
+    u = np.linspace(0.0, 1.0, 1001)
+    np.testing.assert_allclose(np.gradient(g.weight_ppf(u), u), g.length,
+                               rtol=1e-12)
 
 
 @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.7, 1.9), (2.0, 3.0)])
@@ -251,7 +254,7 @@ def test_pentagon_critical_points_inside_hull():
 def test_model_json_round_trip(tmp_path):
     model, _ = random_pentagon_model(np.random.default_rng(7), n=20)
     path = tmp_path / "model.json"
-    model.save(path)
+    path.write_text(json.dumps(model.to_dict()))
     loaded = FilamentModel.load(path)
     x = np.array([0.4, 0.6])
     assert loaded.value(x) == pytest.approx(model.value(x), rel=1e-12)
