@@ -8,14 +8,11 @@ from .kernels import KernelDensityField, PointCloud, kde_density, kde_gradient
 from .levelset import (containment_check, containment_radius,
                        directed_hausdorff, hausdorff_distance, level_set,
                        quantile_threshold)
-from .model import (Filament, FilamentModel, QuadratureSpec, cluster_model,
+from .model import (Filament, FilamentModel, cluster_model,
                     random_pentagon_model, two_gaussian_model)
-from .oracle import (PathDensityEstimate, PathMeasureEstimate, RateTable,
-                     ball_hit_estimate, convergence_experiment,
-                     estimate_with_true_paths, model_flow_config, oracle_field,
-                     path_density_oracle, path_hit_counts, path_measure,
-                     point_density_estimate, sample_and_trace,
-                     true_path_ensemble)
+from .oracle import (MonteCarloEstimate, RateTable, ball_hit_estimate,
+                     convergence_experiment, model_flow_config, oracle_field,
+                     path_hit_counts, point_density_estimate, sample_and_trace)
 from .path_density import (AscentPath, BandwidthPlan, PathEnsemble,
                            default_bandwidths, estimate_path_density,
                            path_density_field)

@@ -282,9 +282,9 @@ def cmd_estimate(args) -> int:
     if args.h is None or args.nu is None:
         try:
             plan = default_bandwidths(cloud.n, cloud.spread, c_h=args.c_h, c_nu=args.c_nu)
-        except ValueError:  # n and spread are valid: a bandwidth underflowed to 0
+        except ValueError:  # n and spread are valid: a bandwidth under- or overflowed
             raise UsageError(f"bandwidths must lie in [{lo:g}, {hi:g}]; the default rule "
-                             f"underflows at --c-h {args.c_h!r}, --c-nu {args.c_nu!r}")
+                             f"under- or overflows at --c-h {args.c_h!r}, --c-nu {args.c_nu!r}")
     h = args.h if args.h is not None else plan.h
     nu = args.nu if args.nu is not None else plan.nu
     if not (lo <= h <= hi and lo <= nu <= hi):

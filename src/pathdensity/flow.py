@@ -60,7 +60,7 @@ class FlowConfig:
     def __post_init__(self):
         for name in ("step_scale", "grad_tolerance", "min_displacement",
                      "max_steps", "max_time_step"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
 

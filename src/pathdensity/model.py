@@ -20,17 +20,9 @@ from .kernels import GaussianMixture, PointCloud, _unbatch, in_blocks
 _EVAL_CHUNK = 2048
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Line-integral rule. Nodes are placed through the weight CDF, densely
-    enough for roughly nodes_per_sigma evaluation points per sigma of
-    arclength wherever the weight density is not vanishing."""
-
-    nodes_per_sigma: int = 8
-
-    def __post_init__(self):
-        if self.nodes_per_sigma < 2:
-            raise ValueError("nodes_per_sigma must be >= 2")
+# line-integral node density: roughly this many evaluation points per sigma
+# of arclength wherever the weight density is not vanishing
+_NODES_PER_SIGMA = 8
 
 
 class Filament:
@@ -86,20 +78,16 @@ class Filament:
 
         return self.length * betaincinv(self.beta_a, self.beta_b, u)
 
-    def _n_intervals(self, nodes_per_interval: int, nodes_per_sigma: int) -> int:
+    def quadrature(self):
+        """(points (N,2), weights (N,)) approximating integral w(s) g(f(s)) ds
+        as sum weights * g(points); the weight density is absorbed by placing
+        nodes through its CDF; two Gauss-Legendre nodes per CDF interval."""
         # enough CDF intervals for the target node density over the central
         # 99.8% of the weight mass
         us = np.linspace(0.001, 0.999, 513)
         s = self.weight_ppf(us)
         dsdu = np.max(np.diff(s)) / (us[1] - us[0])
-        n = int(np.ceil(dsdu * nodes_per_sigma / (self.sigma * nodes_per_interval)))
-        return max(8, n)
-
-    def quadrature(self, spec: QuadratureSpec):
-        """(points (N,2), weights (N,)) approximating integral w(s) g(f(s)) ds
-        as sum weights * g(points); the weight density is absorbed by placing
-        nodes through its CDF; two Gauss-Legendre nodes per CDF interval."""
-        n = self._n_intervals(2, spec.nodes_per_sigma)
+        n = max(8, int(np.ceil(dsdu * _NODES_PER_SIGMA / (self.sigma * 2))))
         edges = np.linspace(0.0, 1.0, n + 1)
         du = 1.0 / n
         off = du / (2.0 * np.sqrt(3.0))
@@ -130,7 +118,7 @@ class FilamentModel:
     """The full mixture; immutable after construction and safe to share."""
 
     def __init__(self, filaments, filament_weights, clusters, cluster_weights,
-                 background_weight: float, box, quad: QuadratureSpec = QuadratureSpec()):
+                 background_weight: float, box):
         self.filaments = list(filaments)
         self.filament_weights = np.asarray(filament_weights, dtype=float).reshape(-1)
         self.clusters = [c if isinstance(c, Cluster) else Cluster(tuple(c[0]), float(c[1]))
@@ -138,7 +126,6 @@ class FilamentModel:
         self.cluster_weights = np.asarray(cluster_weights, dtype=float).reshape(-1)
         self.background_weight = float(background_weight)
         self.box = tuple(float(b) for b in box)
-        self.quad = quad
 
         weights = np.concatenate([[self.background_weight], self.filament_weights,
                                   self.cluster_weights])
@@ -196,7 +183,7 @@ class FilamentModel:
         by_sigma: dict[float, list] = {}
         for alpha, f in zip(self.filament_weights, self.filaments):
             if alpha > 0:
-                nodes, w = f.quadrature(self.quad)
+                nodes, w = f.quadrature()
                 by_sigma.setdefault(f.sigma, []).append((nodes, alpha * w))
         for alpha, c in zip(self.cluster_weights, self.clusters):
             if alpha > 0:

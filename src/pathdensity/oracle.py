@@ -16,29 +16,24 @@ from .flow import (FlowConfig, find_critical_points, mean_shift_paths,
                    trace_ascent_paths)
 from .geometry import segment_distances
 from .grids import GridField, GridSpec
-from .kernels import PointCloud
 from .model import FilamentModel
 from .path_density import PathEnsemble, default_bandwidths, estimate_path_density
 
 
 @dataclass(frozen=True)
-class PathMeasureEstimate:
+class MonteCarloEstimate:
+    """A mean over traced paths with its standard error and path count."""
+
     value: float
     std_error: float
     n_mc: int
 
-    def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise ValueError("a probability estimate must lie in [0, 1]")
 
-
-@dataclass(frozen=True)
-class PathDensityEstimate:
-    value: float
-    std_error: float
-    r1: float
-    r2: float
-    n_mc: int
+def _check_radius(r) -> float:
+    """A ball radius as a float; refused unless positive and finite."""
+    if not 0 < r < np.inf:
+        raise ValueError(f"ball radius must be positive and finite, not {r!r}")
+    return float(r)
 
 
 def model_flow_config(model: FilamentModel) -> FlowConfig:
@@ -65,52 +60,36 @@ def sample_and_trace(model: FilamentModel, n_mc: int, rng: np.random.Generator,
                               refine_disks=refine_disks)
 
 
-def ball_hit_estimate(segs: PathEnsemble, center, r: float) -> PathMeasureEstimate:
+def ball_hit_estimate(segs: PathEnsemble, center, r: float) -> MonteCarloEstimate:
     """Fraction of traced paths passing within r of the center."""
-    md = segs.distances(center)[0]
-    hits = md <= r
+    r = _check_radius(r)
+    hits = segs.distances(center)[0] <= r
     v = float(hits.mean())
     se = float(np.sqrt(v * (1.0 - v) / segs.n_paths))
-    return PathMeasureEstimate(value=v, std_error=se, n_mc=segs.n_paths)
+    return MonteCarloEstimate(value=v, std_error=se, n_mc=segs.n_paths)
 
 
-def point_density_terms(segs: PathEnsemble, x, r1: float,
-                        r2: float) -> np.ndarray:
+def point_density_terms(segs: PathEnsemble, x, r1: float) -> np.ndarray:
     """Per-path terms 2 [d <= r1] / r1 - [d <= r2] / r2 of the two-radius
-    estimate at x, shape (n_paths,); their mean is the estimate."""
+    estimate at x with r2 = 2 r1, shape (n_paths,); their mean is the
+    estimate."""
+    r1 = _check_radius(r1)
+    r2 = 2.0 * r1
     md = segs.distances(x)[0]
     return (2.0 / r1) * (md <= r1) - (1.0 / r2) * (md <= r2)
 
 
-def point_density_estimate(segs: PathEnsemble, x, r1: float) -> PathDensityEstimate:
+def point_density_estimate(segs: PathEnsemble, x, r1: float) -> MonteCarloEstimate:
     """Two-radius extrapolation of hit-fraction / radius.
 
     With hit fractions f1, f2 at radii r1 and r2 = 2 r1, the combination
     2 f1/r1 - f2/r2 removes the term linear in r from f(r)/r; the spread of
     the per-path contributions gives the standard error.
     """
-    if not 0 < r1 < np.inf:
-        raise ValueError("r1 must be positive and finite")
-    r2 = 2.0 * r1
-    a = point_density_terms(segs, x, r1, r2)
-    value = float(a.mean())
+    a = point_density_terms(segs, x, r1)
     n = segs.n_paths
     se = float(a.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return PathDensityEstimate(value=value, std_error=se, r1=r1, r2=float(r2), n_mc=n)
-
-
-def path_measure(model: FilamentModel, center, r: float, n_mc: int,
-                 rng: np.random.Generator) -> PathMeasureEstimate:
-    """Probability that the ascent path of a random draw meets the closed ball."""
-    segs = sample_and_trace(model, n_mc, rng, refine_disks=([center], [r]))
-    return ball_hit_estimate(segs, center, r)
-
-
-def path_density_oracle(model: FilamentModel, x, r1: float, n_mc: int,
-                        rng: np.random.Generator) -> PathDensityEstimate:
-    """Monte-Carlo path density at a regular point."""
-    segs = sample_and_trace(model, n_mc, rng, refine_disks=([x], [r1]))
-    return point_density_estimate(segs, x, r1)
+    return MonteCarloEstimate(value=float(a.mean()), std_error=se, n_mc=n)
 
 
 _HIT_BLOCK = 60_000  # pairs per (segment, stencil node) block, and segments per gather
@@ -126,7 +105,7 @@ def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
     hits on a node; the keys of a path cut by a block's end join the next
     block's.
     """
-    radii = np.sort(np.asarray(radii, dtype=float))
+    radii = np.sort([_check_radius(r) for r in radii])
     n_nodes = grid.nx * grid.ny
     counts = np.zeros((len(radii), n_nodes), dtype=np.int64)
     carry = [np.empty(0, dtype=np.int64)] * len(radii)
@@ -176,7 +155,7 @@ def oracle_field(model: FilamentModel, grid: GridSpec, n_mc: int,
     through `segs` (n_mc and rng are then ignored), so several rasters can
     share one set of paths.
     """
-    r1 = default_r1(model) if r1 is None else r1
+    r1 = default_r1(model) if r1 is None else _check_radius(r1)
     r2 = 2.0 * r1
     if segs is None:
         segs = sample_and_trace(model, n_mc, rng)
@@ -185,22 +164,6 @@ def oracle_field(model: FilamentModel, grid: GridSpec, n_mc: int,
     f2 = counts[1] / segs.n_paths
     values = np.maximum(2.0 * f1 / r1 - f2 / r2, 0.0)
     return GridField(spec=grid, values=values)
-
-
-def true_path_ensemble(cloud: PointCloud, model: FilamentModel) -> PathEnsemble:
-    """Ascent paths of the data points traced on the true model field."""
-    return trace_ascent_paths(model, cloud.points, model_flow_config(model))
-
-
-def estimate_with_true_paths(cloud: PointCloud, model: FilamentModel,
-                             nu: float, x):
-    """The path-density estimator fed with true-field paths of the data.
-
-    Splits off the field-estimation error: comparing this against the full
-    estimator isolates the effect of tracing on an estimated field.
-    """
-    ensemble = true_path_ensemble(cloud, model)
-    return estimate_path_density(ensemble, nu, x)
 
 
 @dataclass

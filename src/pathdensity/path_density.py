@@ -24,8 +24,8 @@ class BandwidthPlan:
     nu: float
 
     def __post_init__(self):
-        if self.h <= 0 or self.nu <= 0:
-            raise ValueError("bandwidths must be positive")
+        if not (0 < self.h < np.inf and 0 < self.nu < np.inf):
+            raise ValueError("bandwidths must be positive and finite")
 
 
 def default_bandwidths(n: int, spread: float, c_h: float = 0.125,
@@ -158,8 +158,8 @@ class PathEnsemble:
 
 def estimate_path_density(ensemble: PathEnsemble, nu: float, x):
     """Mean over paths of K(distance / nu) / nu at the query point(s)."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0 < nu < np.inf:
+        raise ValueError("nu must be positive and finite")
     d = ensemble.distances(x)
     vals = gaussian(d / nu).mean(axis=1) / nu
     return float(vals[0]) if np.ndim(x) == 1 else vals

@@ -119,7 +119,7 @@ def saddle_four_sum(segs, saddle, directions, eps, r1, rng, n_boot=200):
     directions = np.asarray(directions, dtype=float)
 
     def terms(x):
-        return point_density_terms(segs, x, r1, 2.0 * r1)
+        return point_density_terms(segs, x, r1)
 
     n = segs.n_paths
     at_s = terms(saddle)

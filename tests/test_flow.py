@@ -186,6 +186,13 @@ def test_uncapped_hessian_never_reaches_the_time_step(curvature):
 
 # -- mean shift ---------------------------------------------------------------
 
+@pytest.mark.parametrize("name", ["step_scale", "grad_tolerance",
+                                  "min_displacement", "max_time_step"])
+def test_flow_config_refuses_nan(name):
+    with pytest.raises(ValueError, match=name):
+        FlowConfig(**{"step_scale": 0.1, name: np.nan})
+
+
 def test_kde_flow_config_refuses_a_zero_peak(monkeypatch):
     # far below the point spacing, rounding in the squared self-distances
     # can underflow every kernel weight, so that the KDE peak reads 0

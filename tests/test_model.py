@@ -6,9 +6,8 @@ from scipy.stats import beta as beta_dist
 
 from pathdensity.flow import FlowConfig, find_critical_points
 from pathdensity.geometry import polyline_self_intersects
-from pathdensity.model import (Filament, FilamentModel, QuadratureSpec,
-                               cluster_model, random_pentagon_model,
-                               two_gaussian_model)
+from pathdensity.model import (Filament, FilamentModel, cluster_model,
+                               random_pentagon_model, two_gaussian_model)
 
 from conftest import convex_hull_contains, fd_gradient, fd_hessian
 
@@ -65,7 +64,7 @@ def test_beta_weight_ppf_equals_scipy_stats(a, b):
 
 def test_quadrature_node_density_covers_sigma():
     f = unit_filament(weight="beta", sigma=0.05)
-    pts, w = f.quadrature(QuadratureSpec())
+    pts, w = f.quadrature()
     assert w.sum() == pytest.approx(1.0, rel=1e-12)
     s = np.hypot(*(np.diff(pts, axis=0)).T)
     # spacing below sigma / (nodes_per_sigma/2) over the central mass
@@ -73,13 +72,13 @@ def test_quadrature_node_density_covers_sigma():
     assert s[central].max() <= f.sigma / 4 + 1e-9
 
 
-def test_default_quadrature_matches_fine():
+def test_default_quadrature_matches_fine(monkeypatch):
     f = unit_filament(weight="beta", sigma=0.05)
-    m = filament_only_model(f)
-    fine = FilamentModel([f], [1.0], [], [], 0.0, m.box,
-                         quad=QuadratureSpec(nodes_per_sigma=32))
     probes = np.array([[0.5, 0.02], [0.15, -0.03], [0.97, 0.0]])
-    np.testing.assert_allclose(m.value(probes), fine.value(probes), rtol=1e-6)
+    default = filament_only_model(f).value(probes)
+    monkeypatch.setattr("pathdensity.model._NODES_PER_SIGMA", 32)
+    fine = filament_only_model(f).value(probes)
+    np.testing.assert_allclose(default, fine, rtol=1e-6)
 
 
 # -- density ------------------------------------------------------------------

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from pathdensity import oracle
-from pathdensity.flow import FlowConfig, find_critical_points
+from pathdensity.flow import FlowConfig, find_critical_points, trace_ascent_paths
 from pathdensity.grids import GridSpec
-from pathdensity.kernels import PointCloud
 from pathdensity.model import cluster_model, two_gaussian_model
 from pathdensity.oracle import (ball_hit_estimate, convergence_experiment,
-                                estimate_with_true_paths, model_flow_config,
-                                oracle_field, path_density_oracle,
-                                path_hit_counts, path_measure,
-                                point_density_estimate, sample_and_trace,
-                                true_path_ensemble)
+                                model_flow_config, oracle_field,
+                                path_hit_counts, point_density_estimate,
+                                point_density_terms, sample_and_trace)
 from pathdensity.path_density import estimate_path_density
 
 from conftest import polyline_ensemble, saddle_four_sum
@@ -41,7 +38,9 @@ def triangle_batch(triangle_model, triangle_critical):
 
 def test_single_gaussian_ball_captures_all_paths():
     model = cluster_model([(0.0, 0.0)], 0.4, (-3, 3, -3, 3))
-    est = path_measure(model, (0.0, 0.0), 3 * 0.4, 2000, np.random.default_rng(1))
+    segs = sample_and_trace(model, 2000, np.random.default_rng(1),
+                            refine_disks=([(0.0, 0.0)], [3 * 0.4]))
+    est = ball_hit_estimate(segs, (0.0, 0.0), 3 * 0.4)
     assert est.value == 1.0
 
 
@@ -95,9 +94,14 @@ def test_density_vanishes_at_local_minimum(triangle_model, triangle_critical,
 
 def test_density_estimate_deterministic():
     model = two_gaussian_model()
-    kw = dict(r1=0.03, n_mc=2000)
-    a = path_density_oracle(model, (0.5, 0.3), rng=np.random.default_rng(9), **kw)
-    b = path_density_oracle(model, (0.5, 0.3), rng=np.random.default_rng(9), **kw)
+    x, r1 = (0.5, 0.3), 0.03
+
+    def estimate():
+        segs = sample_and_trace(model, 2000, np.random.default_rng(9),
+                                refine_disks=([x], [r1]))
+        return point_density_estimate(segs, x, r1)
+
+    a, b = estimate(), estimate()
     assert a.value == b.value
     assert a.std_error == b.std_error
 
@@ -150,6 +154,29 @@ def test_hit_counts_match_direct_distances(monkeypatch, case, hit_block):
         np.testing.assert_array_equal(counts[k].ravel(), direct)
 
 
+BAD_RADII = [np.nan, -1.0, 0.0, np.inf]
+
+
+@pytest.mark.parametrize("r", BAD_RADII)
+@pytest.mark.parametrize("estimate", [
+    lambda segs, r: ball_hit_estimate(segs, (0.5, 0.5), r),
+    lambda segs, r: point_density_terms(segs, (0.5, 0.5), r),
+    lambda segs, r: path_hit_counts(segs, GridSpec(0.0, 1.0, 0.0, 1.0, 5, 5),
+                                    [0.1, r]),
+], ids=["ball_hit_estimate", "point_density_terms", "path_hit_counts"])
+def test_estimates_refuse_a_radius_that_is_not_positive_and_finite(estimate, r):
+    segs = polyline_ensemble([[[0.2, 0.5], [0.8, 0.5]], [[0.5, 0.1], [0.5, 0.9]]])
+    with pytest.raises(ValueError, match="radius"):
+        estimate(segs, r)
+
+
+@pytest.mark.parametrize("r1", BAD_RADII)
+def test_oracle_field_refuses_a_radius_that_is_not_positive_and_finite(r1):
+    grid = GridSpec(-2.0, 2.0, -1.5, 1.5, 5, 5)
+    with pytest.raises(ValueError, match="radius"):
+        oracle_field(two_gaussian_model(), grid, 50, np.random.default_rng(4), r1=r1)
+
+
 def test_oracle_field_nonnegative():
     model = two_gaussian_model()
     grid = GridSpec(-2.0, 2.0, -1.5, 1.5, 25, 19)
@@ -163,8 +190,9 @@ def test_true_path_estimate_concentrates_at_cluster_center():
     model = cluster_model([(0.0, 0.0)], 0.3, (-2, 2, -2, 2))
     cloud = model.sample(400, np.random.default_rng(6))
     nu = 0.1
-    at_center = estimate_with_true_paths(cloud, model, nu, np.zeros(2))
-    far = estimate_with_true_paths(cloud, model, nu, np.array([5 * 0.3, 0.0]))
+    ens = trace_ascent_paths(model, cloud.points, model_flow_config(model))
+    at_center = estimate_path_density(ens, nu, np.zeros(2))
+    far = estimate_path_density(ens, nu, np.array([5 * 0.3, 0.0]))
     assert at_center > far
     assert far >= 0.0
 
@@ -172,11 +200,11 @@ def test_true_path_estimate_concentrates_at_cluster_center():
 def test_true_path_estimate_permutation_invariant():
     model = cluster_model([(0.0, 0.0)], 0.3, (-2, 2, -2, 2))
     cloud = model.sample(100, np.random.default_rng(2))
-    ens = true_path_ensemble(cloud, model)
+    ens = trace_ascent_paths(model, cloud.points, model_flow_config(model))
     x = np.array([0.2, 0.1])
     a = estimate_path_density(ens, 0.1, x)
     perm = np.random.default_rng(0).permutation(cloud.n)
-    ens2 = true_path_ensemble(PointCloud(cloud.points[perm]), model)
+    ens2 = trace_ascent_paths(model, cloud.points[perm], model_flow_config(model))
     b = estimate_path_density(ens2, 0.1, x)
     assert b == pytest.approx(a, rel=1e-12)
 
@@ -193,8 +221,9 @@ def test_coarse_kde_paths_track_true_paths_better_than_fine():
     gaps = {}
     for rep in range(2):
         cloud = model.sample(800, np.random.default_rng(300 + rep))
-        pstar = estimate_path_density(true_path_ensemble(cloud, model), nu,
-                                      probes)
+        true_paths = trace_ascent_paths(model, cloud.points,
+                                        model_flow_config(model))
+        pstar = estimate_path_density(true_paths, nu, probes)
         for h in (0.4, 0.1):
             paths = mean_shift_paths(cloud, h, cloud.points)
             est = estimate_path_density(paths, nu, probes)

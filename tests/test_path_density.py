@@ -117,6 +117,12 @@ def test_nonpositive_nu_rejected():
         estimate_path_density(degenerate_ensemble([0, 0]), 0.0, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("nu", [np.nan, np.inf])
+def test_nonfinite_nu_rejected(nu):
+    with pytest.raises(ValueError, match="nu"):
+        estimate_path_density(degenerate_ensemble([0, 0]), nu, [0.0, 0.0])
+
+
 def test_lipschitz_in_query_point():
     rng = np.random.default_rng(3)
     ens = polyline_ensemble([rng.standard_normal((6, 2)).cumsum(axis=0)
@@ -217,3 +223,10 @@ def test_bandwidths_reject_tiny_samples():
         default_bandwidths(1, 1.0)
     with pytest.raises(ValueError):
         BandwidthPlan(h=0.0, nu=0.1)
+
+
+@pytest.mark.parametrize("h, nu", [(np.nan, 0.1), (0.1, np.nan),
+                                   (np.inf, 0.1), (0.1, np.inf)])
+def test_bandwidths_refuse_nan_and_inf(h, nu):
+    with pytest.raises(ValueError, match="bandwidths"):
+        BandwidthPlan(h=h, nu=nu)
