@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import oracle
 from .figure import render_four_panel_svg
 from .flow import (FlowNumericalError, MeanShiftUnderflowError,
                    find_critical_points, kde_flow_config, mean_shift_paths,
@@ -315,7 +316,7 @@ def cmd_estimate(args) -> int:
     write_mask_csv(out / "levelset.csv", mask, grid)
     svg = render_four_panel_svg(
         cloud.points, paths, paths.trim_hint if trim is None else trim,
-        mask, grid, bounds,
+        mask, grid,
     )
     with open(out / "figure.svg", "w", encoding="utf-8") as f:
         f.write(svg)
@@ -343,9 +344,11 @@ def cmd_oracle(args) -> int:
     _check_radius("--r1" if args.r1 is not None else "the default --r1", r1, grid)
     out = _make_out(args)
 
-    crit = find_critical_points(model, model.box, model_flow_config(model))
-    rng = np.random.default_rng(args.seed)
-    fld = oracle_field(model, grid, args.n_mc, rng, r1=r1)
+    crit = find_critical_points(model, model.box,
+                                model_flow_config(model).grad_tolerance)
+    # looked up on the module, where perfbench/tracer.py wraps it
+    segs = oracle.sample_and_trace(model, args.n_mc, np.random.default_rng(args.seed))
+    fld = oracle_field(segs, grid, r1)
     write_field_csv(out / "oracle_field.csv", fld)
     write_critical_points_csv(out / "critical_points.csv", crit)
     print(f"wrote oracle_field.csv and critical_points.csv in {out}")

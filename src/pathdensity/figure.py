@@ -10,11 +10,12 @@ _GAP = 18.0
 
 
 class _Transform:
-    def __init__(self, bounds, side=_PANEL):
-        xmin, xmax, ymin, ymax = bounds
-        self.xmin, self.ymin = xmin, ymin
-        self.sx = side / (xmax - xmin)
-        self.sy = side / (ymax - ymin)
+    """Maps the grid's rectangle onto a panel."""
+
+    def __init__(self, grid: GridSpec, side=_PANEL):
+        self.xmin, self.ymin = grid.xmin, grid.ymin
+        self.sx = side / (grid.xmax - grid.xmin)
+        self.sy = side / (grid.ymax - grid.ymin)
         self.side = side
 
     def to_px(self, x, y):
@@ -72,10 +73,10 @@ def _mask_rects(tr, mask, grid: GridSpec, color):
 
 
 def render_four_panel_svg(points: np.ndarray, paths, trims,
-                          mask, grid: GridSpec, bounds) -> str:
-    """Panels: (A) data, (B) all paths, (C) the paths trimmed by trims (see
-    PathEnsemble.trim_drop), (D) level-set mask."""
-    tr = _Transform(bounds)
+                          mask, grid: GridSpec) -> str:
+    """Panels over the grid's rectangle: (A) data, (B) all paths, (C) the
+    paths trimmed by trims (see PathEnsemble.trim_drop), (D) level-set mask."""
+    tr = _Transform(grid)
     all_paths, trimmed_paths = _polylines(tr, paths, trims, "#1f6fb2")
     width = 2 * (_PANEL + _MARGIN) + _GAP + _MARGIN
     height = 2 * (_PANEL + _MARGIN) + _GAP + _MARGIN

@@ -59,9 +59,17 @@ class FlowConfig:
 
     def __post_init__(self):
         for name in ("step_scale", "grad_tolerance", "min_displacement",
-                     "max_steps", "max_time_step"):
+                     "max_time_step"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("max_steps", "max_halvings"):
+            _check_count(name, getattr(self, name))
+
+
+def _check_count(name, value):
+    """Refuse a step or halving count that is not an integer of at least 1."""
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be an integer of at least 1, not {value!r}")
 
 
 def kde_flow_config(cloud: PointCloud, h: float) -> FlowConfig:
@@ -267,8 +275,9 @@ def mean_shift_paths(cloud: PointCloud, h: float, starts,
     field = KernelDensityField(cloud, h)
     if min_displacement is None:
         min_displacement = 1e-6 * h
-    if not (min_displacement > 0 and max_steps > 0):
-        raise ValueError("min_displacement and max_steps must be positive")
+    if not min_displacement > 0:
+        raise ValueError("min_displacement must be positive")
+    _check_count("max_steps", max_steps)
     # iterate in the field's centred coordinates; vertices are recorded in
     # the data's own
     c = field.center
@@ -318,18 +327,21 @@ def classify_critical_point(hessian, degeneracy_tol: float) -> str:
     return "saddle"
 
 
-def find_critical_points(field: ScalarField, domain, cfg: FlowConfig,
+def find_critical_points(field: ScalarField, domain, grad_tolerance: float,
                          seeds_per_axis: int = 24) -> list[CriticalPoint]:
     """Locate and classify zeros of the gradient inside a bounded rectangle.
 
     Newton iteration on grad = 0 from a seed grid, all seeds as one batch
     (one field call per iterate and per backtracking round, at most 60
-    iterates); roots are deduplicated within 1e-3 of the domain diagonal and
-    classified by Hessian eigenvalue signs, with eigenvalues below 1e-9 of
-    the largest Hessian entry (or of 1) counting as zero. Seeds that diverge
-    (leave the padded domain, or hit a singular Hessian away from a root)
-    are dropped.
+    iterates); roots, where the Newton step collapses at a gradient norm
+    below grad_tolerance, are deduplicated within 1e-3 of the domain diagonal
+    and classified by Hessian eigenvalue signs, with eigenvalues below 1e-9
+    of the largest Hessian entry (or of 1) counting as zero. Seeds that
+    diverge (leave the padded domain, or hit a singular Hessian away from a
+    root) are dropped.
     """
+    if not grad_tolerance > 0:
+        raise ValueError("grad_tolerance must be positive")
     xmin, xmax, ymin, ymax = map(float, domain)
     diam = float(np.hypot(xmax - xmin, ymax - ymin))
     merge_radius = 1e-3 * diam
@@ -372,7 +384,7 @@ def find_critical_points(field: ScalarField, domain, cfg: FlowConfig,
             gt = field.derivatives(q[todo], 1)[1]
             gq[todo] = np.hypot(gt[:, 0], gt[:, 1])
             todo = todo[~((gq[todo] <= (1.0 - 0.25 * t[todo]) * gn[todo])
-                          | (gq[todo] < cfg.grad_tolerance))]
+                          | (gq[todo] < grad_tolerance))]
             t[todo] *= 0.5
             todo = todo[t[todo] > 1e-4]
         P[live] = q
@@ -381,18 +393,14 @@ def find_critical_points(field: ScalarField, domain, cfg: FlowConfig,
         # a root is where the Newton increment collapses, not merely where
         # the gradient is small (flat tails have tiny gradients everywhere)
         done = ok & (t == 1.0) & (norm < step_tol)
-        found[live[done]] = gq[done] < cfg.grad_tolerance
+        found[live[done]] = gq[done] < grad_tolerance
         live = live[ok & ~done]
     roots = P[found]
 
     merged: list[np.ndarray] = []
     for p in roots:
-        if not (xmin <= p[0] <= xmax and ymin <= p[1] <= ymax):
-            continue
-        for q in merged:
-            if np.hypot(*(p - q)) < merge_radius:
-                break
-        else:
+        inside = xmin <= p[0] <= xmax and ymin <= p[1] <= ymax
+        if inside and all(np.hypot(*(p - q)) >= merge_radius for q in merged):
             merged.append(p)
 
     out = []
@@ -400,10 +408,7 @@ def find_critical_points(field: ScalarField, domain, cfg: FlowConfig,
         H = field.derivatives(p, 2)[2]
         tol = 1e-9 * max(1.0, float(np.max(np.abs(H))))
         ev = np.linalg.eigvalsh(H)
-        out.append(CriticalPoint(
-            location=p,
-            kind=classify_critical_point(H, tol),
-            hessian_eigenvalues=(float(ev[0]), float(ev[1])),
-        ))
+        out.append(CriticalPoint(location=p, kind=classify_critical_point(H, tol),
+                                 hessian_eigenvalues=(float(ev[0]), float(ev[1]))))
     out.sort(key=lambda c: (c.location[0], c.location[1]))
     return out

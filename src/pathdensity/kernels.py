@@ -178,7 +178,6 @@ class KernelDensityField:
         check_bandwidth(h)
         if not isinstance(cloud, PointCloud):
             cloud = PointCloud(cloud)
-        self.cloud = cloud
         self.h = float(h)
         lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
         self.center = 0.5 * (lo + hi)

@@ -41,15 +41,14 @@ def model_flow_config(model: FilamentModel) -> FlowConfig:
     sigma = model.max_sigma
     if sigma <= 0:
         raise ValueError("model has no Gaussian components to scale against")
-    anchors = model.anchor_points()
-    vmax = float(np.max(model.value(anchors))) if len(anchors) else 1.0
+    vmax = float(np.max(model.value(model.anchor_points())))
     return FlowConfig(step_scale=sigma / 6.0, grad_tolerance=1e-7 * vmax / sigma,
                       min_displacement=1e-6 * sigma, max_halvings=30)
 
 
 def default_r1(model: FilamentModel) -> float:
-    """The oracle's default inner ball radius: max(2 tracing steps, sigma/20)."""
-    return max(2.0 * model_flow_config(model).step_scale, model.max_sigma / 20.0)
+    """The oracle's default inner ball radius: sigma / 3, two tracing steps."""
+    return model.max_sigma / 3.0
 
 
 def sample_and_trace(model: FilamentModel, n_mc: int, rng: np.random.Generator,
@@ -105,7 +104,7 @@ def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
     hits on a node; the keys of a path cut by a block's end join the next
     block's.
     """
-    radii = np.sort([_check_radius(r) for r in radii])
+    radii = [_check_radius(r) for r in radii]
     n_nodes = grid.nx * grid.ny
     counts = np.zeros((len(radii), n_nodes), dtype=np.int64)
     carry = [np.empty(0, dtype=np.int64)] * len(radii)
@@ -117,7 +116,7 @@ def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
         # nodes within the largest radius of a segment lie within reach of its
         # midpoint; the stencil's one-node margin covers rounding of the midpoint
         longest = np.sqrt(np.max(seg.len2, where=np.isfinite(seg.len2), initial=0.0))
-        reach = radii[-1] + 0.5 * longest
+        reach = max(radii) + 0.5 * longest
         hx = int(np.ceil(reach / dx)) + 1
         hy = int(np.ceil(reach / dy)) + 1
         offs_x, offs_y = np.meshgrid(np.arange(-hx, hx + 1), np.arange(-hy, hy + 1),
@@ -146,24 +145,13 @@ def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
     return counts.reshape(len(radii), grid.nx, grid.ny)
 
 
-def oracle_field(model: FilamentModel, grid: GridSpec, n_mc: int,
-                 rng: np.random.Generator, r1: float | None = None,
-                 segs: PathEnsemble | None = None) -> GridField:
-    """Monte-Carlo path-density raster on the grid.
-
-    r1 defaults to `default_r1(model)`. A pre-traced batch can be passed
-    through `segs` (n_mc and rng are then ignored), so several rasters can
-    share one set of paths.
-    """
-    r1 = default_r1(model) if r1 is None else _check_radius(r1)
+def oracle_field(segs: PathEnsemble, grid: GridSpec, r1: float) -> GridField:
+    """Monte-Carlo path-density raster of a traced batch on the grid: the
+    two-radius estimate 2 f1/r1 - f2/r2 at each node, with f the fraction of
+    paths within r1 and r2 = 2 r1, clipped at 0."""
     r2 = 2.0 * r1
-    if segs is None:
-        segs = sample_and_trace(model, n_mc, rng)
-    counts = path_hit_counts(segs, grid, [r1, r2])
-    f1 = counts[0] / segs.n_paths
-    f2 = counts[1] / segs.n_paths
-    values = np.maximum(2.0 * f1 / r1 - f2 / r2, 0.0)
-    return GridField(spec=grid, values=values)
+    f1, f2 = path_hit_counts(segs, grid, [r1, r2]) / segs.n_paths
+    return GridField(spec=grid, values=np.maximum(2.0 * f1 / r1 - f2 / r2, 0.0))
 
 
 @dataclass
@@ -226,21 +214,23 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
     seq = np.random.SeedSequence(seed)
     oracle_seed, *run_seeds = seq.spawn(1 + len(n_list) * replicates)
 
-    crit = find_critical_points(model, model.box, model_flow_config(model))
-    excl = np.asarray([c.location for c in crit
-                       if c.kind in ("maximum", "saddle")], dtype=float)
+    crit = find_critical_points(model, model.box,
+                                model_flow_config(model).grad_tolerance)
+    excl = np.asarray([c.location for c in crit if c.kind in ("maximum", "saddle")],
+                      dtype=float).reshape(-1, 2)
 
     segs = sample_and_trace(model, oracle_n_mc, np.random.default_rng(oracle_seed))
     counts = path_hit_counts(segs, probe_grid, [oracle_r1, 2 * oracle_r1])
+    # oracle_field's estimate, rounded as counts / (n r) rather than
+    # (counts / n) / r: through oracle_field, row 24 of `converge --seed 7`
+    # moves by an ulp
     truth = np.maximum(2.0 * counts[0] / (oracle_n_mc * oracle_r1)
                        - counts[1] / (oracle_n_mc * 2.0 * oracle_r1), 0.0)
 
     nodes = probe_grid.nodes()
-    if len(excl):
-        d_excl = np.min(np.hypot(nodes[:, 0][:, None] - excl[:, 0][None, :],
-                                 nodes[:, 1][:, None] - excl[:, 1][None, :]), axis=1)
-    else:
-        d_excl = np.full(len(nodes), np.inf)
+    d_excl = np.min(np.hypot(nodes[:, 0][:, None] - excl[None, :, 0],
+                             nodes[:, 1][:, None] - excl[None, :, 1]),
+                    axis=1, initial=np.inf)
 
     runs = []
     k = 0

@@ -30,9 +30,9 @@ from pathdensity.levelset import (containment_check, directed_hausdorff,
                                   quantile_threshold)
 from pathdensity.model import (FilamentModel, cluster_model,
                                random_pentagon_model, two_gaussian_model)
-from pathdensity.oracle import (convergence_experiment, model_flow_config,
-                                oracle_field, point_density_estimate,
-                                sample_and_trace)
+from pathdensity.oracle import (convergence_experiment, default_r1,
+                                model_flow_config, oracle_field,
+                                point_density_estimate, sample_and_trace)
 from pathdensity.path_density import (default_bandwidths,
                                       estimate_path_density,
                                       path_density_field)
@@ -85,8 +85,9 @@ def pentagon():
 @pytest.fixture(scope="module")
 def pentagon_critical(pentagon):
     model, _ = pentagon
-    cfg = model_flow_config(model)
-    return find_critical_points(model, model.box, cfg, seeds_per_axis=24)
+    return find_critical_points(model, model.box,
+                                model_flow_config(model).grad_tolerance,
+                                seeds_per_axis=24)
 
 
 @pytest.fixture(scope="module")
@@ -182,8 +183,7 @@ def test_criterion_4b_constructed_minimum():
     t0 = time.time()
     centers = [(0.0, 1.0), (-0.866, -0.5), (0.866, -0.5)]
     model = cluster_model(centers, 0.5, (-3, 3, -3, 3))
-    cfg = FlowConfig(step_scale=0.1, grad_tolerance=1e-10, min_displacement=1e-12)
-    crit = find_critical_points(model, model.box, cfg)
+    crit = find_critical_points(model, model.box, 1e-10)
     minimum = next(c for c in crit if c.kind == "minimum")
     segs = sample_and_trace(model, 100_000, np.random.default_rng(13),
                             refine_disks=([minimum.location], [0.02]))
@@ -286,7 +286,7 @@ def test_criterion_7_containment(pentagon, pentagon_critical, pentagon_segs):
     maxima = [c.location for c in pentagon_critical if c.kind == "maximum"]
     saddles = [c.location for c in pentagon_critical if c.kind == "saddle"]
     grid = GridSpec(0.0, 1.0, 0.0, 1.0, 200, 200)
-    fld = oracle_field(model, grid, 0, None, segs=pentagon_segs)
+    fld = oracle_field(pentagon_segs, grid, default_r1(model))
     lam = quantile_threshold(fld, cloud, 0.9)
     ls = level_set(fld, lam)
     eps = 2 * np.hypot(grid.dx, grid.dy)
@@ -334,7 +334,7 @@ def test_criterion_9_levelset_distance_trend(pentagon, pentagon_segs):
     t0 = time.time()
     model, ref_cloud = pentagon
     grid = GridSpec(0.0, 1.0, 0.0, 1.0, 64, 64)
-    ofld = oracle_field(model, grid, 0, None, segs=pentagon_segs)
+    ofld = oracle_field(pentagon_segs, grid, default_r1(model))
     q = 0.85
     lam_true = quantile_threshold(ofld, ref_cloud, q)
     true_set = grid.mask_points(level_set(ofld, lam_true))

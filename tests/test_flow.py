@@ -193,6 +193,20 @@ def test_flow_config_refuses_nan(name):
         FlowConfig(**{"step_scale": 0.1, name: np.nan})
 
 
+@pytest.mark.parametrize("name,value", [
+    ("max_halvings", 0), ("max_halvings", -1), ("max_halvings", np.nan),
+    ("max_halvings", 2.5), ("max_steps", 2.5)])
+def test_flow_config_refuses_a_count_that_is_not_a_positive_integer(name, value):
+    with pytest.raises(ValueError, match=name):
+        FlowConfig(**{"step_scale": 0.1, name: value})
+
+
+def test_mean_shift_refuses_a_fractional_step_count():
+    cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.5]]))
+    with pytest.raises(ValueError, match="max_steps"):
+        mean_shift_paths(cloud, 0.5, cloud.points, max_steps=2.5)
+
+
 def test_kde_flow_config_refuses_a_zero_peak(monkeypatch):
     # far below the point spacing, rounding in the squared self-distances
     # can underflow every kernel weight, so that the KDE peak reads 0
@@ -326,8 +340,7 @@ def test_classify_examples():
 
 def test_single_gaussian_has_one_maximum():
     model = cluster_model([(0.25, -0.5)], 0.6, (-3, 3, -3, 3))
-    cfg = FlowConfig(step_scale=0.1, grad_tolerance=1e-10, min_displacement=1e-12)
-    crit = find_critical_points(model, model.box, cfg, seeds_per_axis=8)
+    crit = find_critical_points(model, model.box, 1e-10, seeds_per_axis=8)
     assert len(crit) == 1
     assert crit[0].kind == "maximum"
     np.testing.assert_allclose(crit[0].location, [0.25, -0.5], atol=1e-8)
@@ -351,8 +364,7 @@ def _axial_roots_two_gaussian(model):
 
 def test_two_gaussian_critical_points_match_axial_oracle():
     model = two_gaussian_model()  # means (+-1, 0), sigma = 0.5
-    cfg = FlowConfig(step_scale=0.1, grad_tolerance=1e-11, min_displacement=1e-13)
-    crit = find_critical_points(model, model.box, cfg, seeds_per_axis=14)
+    crit = find_critical_points(model, model.box, 1e-11, seeds_per_axis=14)
     kinds = sorted(c.kind for c in crit)
     assert kinds == ["maximum", "maximum", "saddle"]
     found_x = np.sort([c.location[0] for c in crit])
@@ -366,8 +378,7 @@ def test_two_gaussian_critical_points_match_axial_oracle():
 
 def test_critical_points_inside_anchor_hull():
     model, _ = random_pentagon_model(np.random.default_rng(21), n=100)
-    cfg = FlowConfig(step_scale=0.005, grad_tolerance=1e-9, min_displacement=1e-12)
-    crit = find_critical_points(model, model.box, cfg, seeds_per_axis=12)
+    crit = find_critical_points(model, model.box, 1e-9, seeds_per_axis=12)
     assert len(crit) >= 1
     locs = np.array([c.location for c in crit])
     inside = convex_hull_contains(model.anchor_points(), locs, tol=1e-6)
@@ -375,14 +386,13 @@ def test_critical_points_inside_anchor_hull():
 
 
 def test_two_gaussian_separation_sweep_counts():
-    cfg = FlowConfig(step_scale=0.1, grad_tolerance=1e-11, min_displacement=1e-13)
     for sep in (1.5, 2.0, 3.0):  # separations above 2 sigma = 1.0
         model = two_gaussian_model(separation=sep)
-        crit = find_critical_points(model, model.box, cfg, seeds_per_axis=12)
+        crit = find_critical_points(model, model.box, 1e-11, seeds_per_axis=12)
         assert len(crit) == 3, f"separation {sep}"
 
 
-def _per_seed_critical_points(field, domain, cfg, seeds_per_axis=24,
+def _per_seed_critical_points(field, domain, grad_tolerance, seeds_per_axis=24,
                               max_newton_steps=60):
     """Reference: the Newton search one seed at a time, with the seeds, step
     rule, backtrack, merge and classification of find_critical_points.
@@ -412,7 +422,7 @@ def _per_seed_critical_points(field, domain, cfg, seeds_per_axis=24,
             while t > 1e-4:
                 q = p - t * step
                 gq = np.hypot(*field.derivatives(q, 1)[1])
-                if gq <= (1.0 - 0.25 * t) * gn or gq < cfg.grad_tolerance:
+                if gq <= (1.0 - 0.25 * t) * gn or gq < grad_tolerance:
                     break
                 t *= 0.5
             else:
@@ -421,7 +431,7 @@ def _per_seed_critical_points(field, domain, cfg, seeds_per_axis=24,
             if not (xmin - pad <= p[0] <= xmax + pad and ymin - pad <= p[1] <= ymax + pad):
                 break
             if t == 1.0 and norm < step_tol:
-                accepted = gq < cfg.grad_tolerance
+                accepted = gq < grad_tolerance
                 break
         if accepted:
             roots.append(p)
@@ -444,9 +454,9 @@ def _as_arrays(crit):
 
 def test_batched_newton_equals_per_seed_loop_on_two_gaussians():
     model = two_gaussian_model()
-    cfg = model_flow_config(model)
-    loc, kinds, ev = _as_arrays(find_critical_points(model, model.box, cfg))
-    ref_loc, ref_kinds, ref_ev = _per_seed_critical_points(model, model.box, cfg)
+    tol = model_flow_config(model).grad_tolerance
+    loc, kinds, ev = _as_arrays(find_critical_points(model, model.box, tol))
+    ref_loc, ref_kinds, ref_ev = _per_seed_critical_points(model, model.box, tol)
     assert kinds == ref_kinds == ["maximum", "saddle", "maximum"]
     assert np.array_equal(loc, ref_loc)
     assert np.array_equal(ev, ref_ev)
@@ -456,9 +466,9 @@ def test_batched_newton_matches_per_seed_loop_on_pentagon():
     # one-row and multi-row field calls may round the last bit differently
     # (BLAS gemv against gemm), so locations agree to a relative 1e-12
     model, _ = random_pentagon_model(np.random.default_rng(21), n=100)
-    cfg = model_flow_config(model)
-    loc, kinds, _ = _as_arrays(find_critical_points(model, model.box, cfg))
-    ref_loc, ref_kinds, _ = _per_seed_critical_points(model, model.box, cfg)
+    tol = model_flow_config(model).grad_tolerance
+    loc, kinds, _ = _as_arrays(find_critical_points(model, model.box, tol))
+    ref_loc, ref_kinds, _ = _per_seed_critical_points(model, model.box, tol)
     assert kinds == ref_kinds
     xmin, xmax, ymin, ymax = model.box
     diam = np.hypot(xmax - xmin, ymax - ymin)
@@ -469,10 +479,9 @@ def test_singular_hessian_drops_only_its_own_seeds():
     # far from a narrow cluster the Hessian underflows to exactly zero, so
     # the batched solve raises and the iteration is solved row by row
     model = cluster_model([(0.35, -0.1)], 0.08, (-3, 3, -3, 3))
-    cfg = FlowConfig(step_scale=0.01, grad_tolerance=1e-10, min_displacement=1e-12)
     xs = np.linspace(-3, 3, 26)[1:-1]
     H = model.derivatives(np.array([[x, y] for x in xs for y in xs]), 2)[2]
     assert np.any(np.all(H == 0, axis=(1, 2)))
-    crit = find_critical_points(model, model.box, cfg, seeds_per_axis=24)
+    crit = find_critical_points(model, model.box, 1e-10, seeds_per_axis=24)
     assert [c.kind for c in crit] == ["maximum"]
     np.testing.assert_allclose(crit[0].location, [0.35, -0.1], rtol=0, atol=1e-12)

@@ -44,6 +44,13 @@ GOLDEN = {
         "critical_points.csv":
             "621daef8844c126fd77ca55071a318951372c98f9df9e2e7ef0a953cb8fc2af3",
     },
+    # a beta-weighted pentagon: filaments, not just clusters, on the oracle path
+    "oracle-pentagon": {
+        "oracle_field.csv":
+            "884f2ada23afa5445bb3205afb3f610ddf485cd9977b2134fae041e01c2032ce",
+        "critical_points.csv":
+            "c5424555bd5d8eff2f0b6964850a83b4744b31c149ed284d92ef17c775ed5b24",
+    },
     "converge": {
         "rate_table.csv":
             "0b1454f3a70b058ac4fb894032255d23b0281c38ac9bd37bd386d14383616227",
@@ -73,14 +80,24 @@ def test_estimate_digests(pentagon_csv, tmp_path, tracer):
     assert digests(tmp_path, ESTIMATE_FILES) == GOLDEN[f"estimate-{tracer}"]
 
 
-def test_oracle_digests(tmp_path):
+def oracle_digests(tmp_path, model, n, sim_seed, n_mc, grid):
     sim = tmp_path / "sim"
-    assert main(["simulate", "--model", "two-gaussian", "--n", "10", "--seed",
-                 "5", "--out", str(sim)]) == 0
+    assert main(["simulate", "--model", model, "--n", n, "--seed", sim_seed,
+                 "--out", str(sim)]) == 0
     out = tmp_path / "oracle"
     assert main(["oracle", "--model-json", str(sim / "model.json"), "--out",
-                 str(out), "--n-mc", "400", "--grid", "32", "--seed", "3"]) == 0
-    assert digests(out, GOLDEN["oracle"]) == GOLDEN["oracle"]
+                 str(out), "--n-mc", n_mc, "--grid", grid, "--seed", "3"]) == 0
+    return digests(out, GOLDEN["oracle"])
+
+
+def test_oracle_digests(tmp_path):
+    assert oracle_digests(tmp_path, "two-gaussian", "10", "5", "400",
+                          "32") == GOLDEN["oracle"]
+
+
+def test_oracle_pentagon_digests(tmp_path):
+    assert oracle_digests(tmp_path, "pentagon", "60", "1", "200",
+                          "40") == GOLDEN["oracle-pentagon"]
 
 
 def test_converge_digests(tmp_path):

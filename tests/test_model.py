@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
 
-from pathdensity.flow import FlowConfig, find_critical_points
+from pathdensity.flow import find_critical_points
 from pathdensity.geometry import polyline_self_intersects
 from pathdensity.model import (Filament, FilamentModel, cluster_model,
                                random_pentagon_model, two_gaussian_model)
@@ -241,8 +241,7 @@ def test_pentagon_ring_is_simple():
 
 def test_pentagon_critical_points_inside_hull():
     model, _ = random_pentagon_model(np.random.default_rng(21), n=100)
-    cfg = FlowConfig(step_scale=0.005, grad_tolerance=1e-9, min_displacement=1e-12)
-    crit = find_critical_points(model, model.box, cfg, seeds_per_axis=12)
+    crit = find_critical_points(model, model.box, 1e-9, seeds_per_axis=12)
     assert len(crit) >= 1
     locs = np.array([c.location for c in crit])
     assert convex_hull_contains(model.anchor_points(), locs, tol=1e-6).all()

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from pathdensity import oracle
-from pathdensity.flow import FlowConfig, find_critical_points, trace_ascent_paths
+from pathdensity.flow import find_critical_points, trace_ascent_paths
 from pathdensity.grids import GridSpec
 from pathdensity.model import cluster_model, two_gaussian_model
 from pathdensity.oracle import (ball_hit_estimate, convergence_experiment,
-                                model_flow_config, oracle_field,
+                                default_r1, model_flow_config, oracle_field,
                                 path_hit_counts, point_density_estimate,
                                 point_density_terms, sample_and_trace)
 from pathdensity.path_density import estimate_path_density
@@ -22,8 +22,7 @@ def triangle_model():
 
 @pytest.fixture(scope="module")
 def triangle_critical(triangle_model):
-    cfg = FlowConfig(step_scale=0.1, grad_tolerance=1e-10, min_displacement=1e-12)
-    return find_critical_points(triangle_model, triangle_model.box, cfg)
+    return find_critical_points(triangle_model, triangle_model.box, 1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +134,8 @@ def _hit_count_case(case):
     t = np.linspace(0.0, 1.0, 7000)
     wave = np.column_stack([t, 0.5 + 0.3 * np.sin(6 * np.pi * t)])
     segs = polyline_ensemble([[[0.31, 0.52]], wave, [[0.2, 0.9], [0.7, 0.1]]])
-    return segs, GridSpec(0.0, 1.0, 0.0, 1.0, 11, 11), [0.02, 0.15]
+    # radii in descending order: counts come back in the caller's order
+    return segs, GridSpec(0.0, 1.0, 0.0, 1.0, 11, 11), [0.15, 0.02]
 
 
 # 60,000 is the default block; 250 (segment, node) pairs give blocks of 10
@@ -172,15 +172,16 @@ def test_estimates_refuse_a_radius_that_is_not_positive_and_finite(estimate, r):
 
 @pytest.mark.parametrize("r1", BAD_RADII)
 def test_oracle_field_refuses_a_radius_that_is_not_positive_and_finite(r1):
-    grid = GridSpec(-2.0, 2.0, -1.5, 1.5, 5, 5)
+    segs = polyline_ensemble([[[0.2, 0.5], [0.8, 0.5]], [[0.5, 0.1], [0.5, 0.9]]])
     with pytest.raises(ValueError, match="radius"):
-        oracle_field(two_gaussian_model(), grid, 50, np.random.default_rng(4), r1=r1)
+        oracle_field(segs, GridSpec(0.0, 1.0, 0.0, 1.0, 5, 5), r1)
 
 
 def test_oracle_field_nonnegative():
     model = two_gaussian_model()
     grid = GridSpec(-2.0, 2.0, -1.5, 1.5, 25, 19)
-    fld = oracle_field(model, grid, 2000, np.random.default_rng(4))
+    segs = sample_and_trace(model, 2000, np.random.default_rng(4))
+    fld = oracle_field(segs, grid, default_r1(model))
     assert np.all(fld.values >= 0)
 
 
