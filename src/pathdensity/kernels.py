@@ -81,6 +81,7 @@ class GaussianMixture:
     def __init__(self, sigma: float, nodes: np.ndarray, weights: np.ndarray):
         self.sigma = sigma
         self.nodes = np.ascontiguousarray(nodes)
+        self.twice_nodes = 2.0 * self.nodes
         self.node_norms = (self.nodes * self.nodes).sum(axis=1)
         w, (x, y) = np.ascontiguousarray(weights), self.nodes.T
         wx, wy = w * x, w * y
@@ -93,13 +94,16 @@ class GaussianMixture:
         then for order 2 s2xx, s2xy and s2yy.
 
         The squared distances expand as ||p||^2 + ||q||^2 - 2 p.q. The two
-        BLAS steps, the cross term pts @ nodes.T and the moment gemv calls,
-        each see the whole block, because their rounding depends on the
-        shape of the call. The elementwise chain from the cross term to phi
-        runs over tiles of about _TILE elements in one reused buffer, so
-        that a block larger than the cache is not swept once per step; each
-        tile's weights overwrite its rows of the cross term."""
-        cross = pts @ self.nodes.T
+        BLAS steps, the cross term 2 p.q and the moment gemv calls, each see
+        the whole block, because their rounding depends on the shape of the
+        call. The cross term takes its factor 2 from nodes doubled once:
+        scaling by 2 is exact, so pts @ (2 nodes).T has the bits of
+        2 (pts @ nodes.T) without a sweep over the block. The elementwise
+        chain from the cross term to phi runs over tiles of about _TILE
+        elements in one reused buffer, so that a block larger than the cache
+        is not swept once per step; each tile's weights overwrite its rows
+        of the cross term."""
+        cross = pts @ self.twice_nodes.T
         p2 = (pts * pts).sum(axis=1)[:, None]
         var = self.sigma * self.sigma
         rows = max(1, _TILE // len(self.nodes))
@@ -108,7 +112,6 @@ class GaussianMixture:
             c = cross[s:s + rows]
             d2 = buf[:len(c)]
             np.add(p2[s:s + rows], self.node_norms, out=d2)
-            c *= 2.0
             d2 -= c
             np.maximum(d2, 0.0, out=d2)
             d2 *= -0.5 / var

@@ -70,10 +70,16 @@ class Filament:
         return point_on_polyline(self.vertices, self.arclength, s)
 
     def weight_ppf(self, u):
-        """Arclength position with weight-CDF value u."""
+        """Arclength position with weight-CDF value u. For the arcsine weight,
+        beta(1/2, 1/2), this is sin^2(pi u / 2), the closed form Boost's
+        ibeta_inv (under scipy's betaincinv) uses for that shape: the same
+        bits without importing scipy, and NaN for u outside [0, 1] as there."""
         u = np.asarray(u, dtype=float)
         if self.weight == "uniform":
             return self.length * u
+        if self.beta_a == self.beta_b == 0.5:
+            u = np.where((u >= 0.0) & (u <= 1.0), u, np.nan)
+            return self.length * np.sin(0.5 * np.pi * u) ** 2
         from scipy.special import betaincinv
 
         return self.length * betaincinv(self.beta_a, self.beta_b, u)

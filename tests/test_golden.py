@@ -4,8 +4,10 @@ These pin the output bytes of `estimate` (mean shift and RK4 flow tracer),
 `oracle` and `converge` at small sizes, so that a refactor which should not change results
 is checked byte for byte. The digests are tied to the numpy, scipy and
 OpenBLAS builds they were computed with (numpy 2.4.6, scipy 1.17.1, OpenBLAS
-0.3.31 as bundled with numpy, Python 3.11.7, x86-64): another build may round
-differently and move them. A change that alters output bytes on purpose
+0.3.31 as bundled with numpy, Python 3.11.7, x86-64) and hold for any worker
+count for a fixed BLAS thread count: another build, or another OpenBLAS thread
+count, may round differently and move them (these inputs are too small to show
+the thread count; larger ones do). A change that alters output bytes on purpose
 updates the digests here and gives the reason in CHANGES.md.
 """
 

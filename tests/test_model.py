@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -53,11 +54,26 @@ def test_weight_density_integrates_to_one():
 
 
 @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.7, 1.9), (2.0, 3.0)])
-def test_beta_weight_ppf_equals_scipy_stats(a, b):
+def test_beta_weight_ppf_equals_scipy_stats(a, b, monkeypatch):
     f = Filament.from_endpoints([0.0, 0.0], [1.0, 0.0], 0.05, weight="beta",
                                 beta_a=a, beta_b=b)
     u = np.concatenate([np.random.default_rng(3).random(10_000),
                         [0.0, 1.0, 1.0 - 2.0**-53]])
+    if (a, b) == (0.5, 0.5):
+        # the arcsine weight's closed form, also on log-uniform tiny u, on u
+        # near 1 and on every u the quadrature asks for
+        asked, ppf = [], Filament.weight_ppf
+        monkeypatch.setattr(Filament, "weight_ppf",
+                            lambda self, v: asked.append(v) or ppf(self, v))
+        f.quadrature()
+        monkeypatch.undo()
+        rng = np.random.default_rng(5)
+        u = np.concatenate([u, 10.0 ** rng.uniform(-300, -3, 10_000),
+                            1.0 - rng.uniform(0.0, 1e-3, 10_000), *asked])
+        # outside [0, 1] it gives NaN, as scipy does, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(f.weight_ppf([-0.5, 1.5, np.inf, np.nan])).all()
     np.testing.assert_array_equal(f.weight_ppf(u),
                                   f.length * beta_dist.ppf(u, a, b))
 
