@@ -1,7 +1,8 @@
 """Command-line pipeline: simulate, estimate, oracle, converge.
 
 All outputs are plain CSV/JSON/SVG, written deterministically for a given
-seed and input (the worker count never changes the bytes). Exit codes:
+seed and input: neither the worker count nor OPENBLAS_NUM_THREADS changes the
+bytes, since OpenBLAS runs on one thread (see parallel.py). Exit codes:
 0 success, 2 usage or configuration, 3 data, 4 numerical failure.
 """
 
@@ -24,7 +25,7 @@ from .levelset import level_set, quantile_threshold
 from .model import FilamentModel, random_pentagon_model, two_gaussian_model
 from .oracle import (convergence_experiment, default_r1, model_flow_config,
                      oracle_field)
-from .parallel import worker_count
+from .parallel import beside, worker_count
 from .path_density import PathEnsemble, default_bandwidths, path_density_field
 
 EXIT_USAGE = 2
@@ -177,6 +178,13 @@ def _make_out(args) -> Path:
     return out
 
 
+def _workers(explicit=None) -> int:
+    try:
+        return worker_count(explicit)
+    except ValueError as e:  # PATHDENSITY_WORKERS is not an integer >= 1
+        raise UsageError(str(e))
+
+
 def _check_seed(args, command):
     if args.seed is None:
         raise UsageError(f"{command} requires --seed")
@@ -269,10 +277,7 @@ def cmd_estimate(args) -> int:
         raise UsageError(f"unknown tracer {args.tracer!r}")
     if args.workers is not None and args.workers < 1:
         raise UsageError("--workers must be at least 1")
-    try:
-        workers = worker_count(args.workers)
-    except ValueError as e:
-        raise UsageError(str(e))
+    workers = _workers(args.workers)
     _check_positive("--c-h", args.c_h)
     _check_positive("--c-nu", args.c_nu)
     cloud = read_points_csv(args.points)
@@ -342,12 +347,15 @@ def cmd_oracle(args) -> int:
     grid = _grid_spec(args, bounds)
     r1 = default_r1(model) if args.r1 is None else args.r1
     _check_radius("--r1" if args.r1 is not None else "the default --r1", r1, grid)
+    _workers()  # refuses a bad PATHDENSITY_WORKERS before --out is made
     out = _make_out(args)
 
-    crit = find_critical_points(model, model.box,
-                                model_flow_config(model).grad_tolerance)
-    # looked up on the module, where perfbench/tracer.py wraps it
-    segs = oracle.sample_and_trace(model, args.n_mc, np.random.default_rng(args.seed))
+    tol = model_flow_config(model).grad_tolerance  # caches the mixtures first
+    # both looked up when called, where perfbench/tracer.py wraps them
+    crit, segs = beside(
+        lambda: find_critical_points(model, model.box, tol),
+        lambda: oracle.sample_and_trace(model, args.n_mc,
+                                        np.random.default_rng(args.seed)))
     fld = oracle_field(segs, grid, r1)
     write_field_csv(out / "oracle_field.csv", fld)
     write_critical_points_csv(out / "critical_points.csv", crit)
@@ -377,6 +385,7 @@ def cmd_converge(args) -> int:
         raise UsageError("converge needs --model two-gaussian or --model-json")
     probe = GridSpec.from_bounds(model.box, args.probes)
     _check_radius("--oracle-r1", args.oracle_r1, probe)
+    _workers()  # refuses a bad PATHDENSITY_WORKERS before --out is made
     out = _make_out(args)
     table = convergence_experiment(model, n_list, args.reps, probe, args.seed,
                                    oracle_n_mc=args.oracle_n_mc,

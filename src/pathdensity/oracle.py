@@ -17,6 +17,7 @@ from .flow import (FlowConfig, find_critical_points, mean_shift_paths,
 from .geometry import segment_distances
 from .grids import GridField, GridSpec
 from .model import FilamentModel
+from .parallel import beside, map_indexed
 from .path_density import PathEnsemble, default_bandwidths, estimate_path_density
 
 
@@ -91,7 +92,7 @@ def point_density_estimate(segs: PathEnsemble, x, r1: float) -> MonteCarloEstima
     return MonteCarloEstimate(value=float(a.mean()), std_error=se, n_mc=n)
 
 
-_HIT_BLOCK = 60_000  # pairs per (segment, stencil node) block, and segments per gather
+_HIT_BLOCK = 30_000  # pairs per (segment, stencil node) block, and segments per gather
 
 
 def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
@@ -99,7 +100,7 @@ def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
 
     Returns an int array of shape (len(radii), nx, ny); each path is counted
     at most once per node. Costs O(total segments x local stencil): segments
-    are taken in blocks of about 6e4 (segment, stencil node) pairs, and each
+    are taken in blocks of about 3e4 (segment, stencil node) pairs, and each
     hit is keyed path * n_nodes + node so that np.unique drops a path's repeat
     hits on a node; the keys of a path cut by a block's end join the next
     block's.
@@ -209,18 +210,21 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
     across the whole sweep: probes within twice the largest nu of the sweep
     of any true maximum or saddle are dropped (a per-run exclusion would
     expose more of the near-mode divergence as n grows and mask the decay).
-    The truth raster is shared across runs.
+    The truth raster is shared across runs. Its trace runs beside the
+    critical-point search, and the runs, each seeded, over the workers.
     """
     seq = np.random.SeedSequence(seed)
     oracle_seed, *run_seeds = seq.spawn(1 + len(n_list) * replicates)
 
-    crit = find_critical_points(model, model.box,
-                                model_flow_config(model).grad_tolerance)
+    def truth_counts():
+        segs = sample_and_trace(model, oracle_n_mc, np.random.default_rng(oracle_seed))
+        return path_hit_counts(segs, probe_grid, [oracle_r1, 2 * oracle_r1])
+
+    tol = model_flow_config(model).grad_tolerance  # caches the mixtures first
+    crit, counts = beside(lambda: find_critical_points(model, model.box, tol),
+                          truth_counts)
     excl = np.asarray([c.location for c in crit if c.kind in ("maximum", "saddle")],
                       dtype=float).reshape(-1, 2)
-
-    segs = sample_and_trace(model, oracle_n_mc, np.random.default_rng(oracle_seed))
-    counts = path_hit_counts(segs, probe_grid, [oracle_r1, 2 * oracle_r1])
     # oracle_field's estimate, rounded as counts / (n r) rather than
     # (counts / n) / r: through oracle_field, row 24 of `converge --seed 7`
     # moves by an ulp
@@ -232,25 +236,19 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
                              nodes[:, 1][:, None] - excl[None, :, 1]),
                     axis=1, initial=np.inf)
 
-    runs = []
-    k = 0
-    nu_max = 0.0
-    for n in n_list:
-        for rep in range(replicates):
-            rng = np.random.default_rng(run_seeds[k])
-            k += 1
-            cloud = model.sample(int(n), rng)
-            bw = default_bandwidths(cloud.n, cloud.spread)
-            nu_max = max(nu_max, bw.nu)
-            ensemble = mean_shift_paths(cloud, bw.h, cloud.points)
-            est = estimate_path_density(ensemble, bw.nu, nodes)
-            runs.append((int(n), rep, est))
+    def run(k):
+        n, rep = int(n_list[k // replicates]), k % replicates
+        cloud = model.sample(n, np.random.default_rng(run_seeds[k]))
+        bw = default_bandwidths(cloud.n, cloud.spread)
+        ensemble = mean_shift_paths(cloud, bw.h, cloud.points)
+        return n, rep, bw.nu, estimate_path_density(ensemble, bw.nu, nodes)
 
-    keep = d_excl > 2.0 * nu_max
+    runs = map_indexed(run, range(len(run_seeds)))
+    keep = d_excl > 2.0 * max(nu for _, _, nu, _ in runs)
     rows = [(n, rep, float(np.max(np.abs(est[keep] - truth.ravel()[keep]))))
-            for n, rep, est in runs]
+            for n, rep, _, est in runs]
     median_rows = [(n, rep, float(np.median(np.abs(est[keep] - truth.ravel()[keep]))))
-                   for n, rep, est in runs]
+                   for n, rep, _, est in runs]
 
     slope, stderr, ci = _loglog_fit(rows)
     return RateTable(rows=rows, slope=slope, slope_stderr=stderr, ci95=ci,

@@ -243,6 +243,21 @@ def test_invalid_workers_variable_exits_2(tmp_path, capsys, monkeypatch, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["oracle", "--n-mc", "30", "--grid", "8", "--seed", "1"],
+    ["converge", "--n", "20,40", "--reps", "1", "--probes", "4",
+     "--oracle-n-mc", "30", "--seed", "1"]], ids=["oracle", "converge"])
+def test_invalid_workers_variable_exits_2_without_workers_flag(
+        tmp_path, capsys, monkeypatch, two_gaussian_json, command):
+    # oracle and converge read the variable too, for the critical-point
+    # search beside the trace
+    monkeypatch.setenv("PATHDENSITY_WORKERS", "abc")
+    assert run(*command, "--model-json", str(two_gaussian_json),
+               "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error: PATHDENSITY_WORKERS")
+    assert not (tmp_path / "o").exists()
+
+
 def test_estimate_bounds_excluding_data_names_the_count(tmp_path, capsys):
     pts = tmp_path / "points.csv"
     pts.write_text("x,y\n0.1,0.2\n0.5,0.5\n0.3,0.9\n0.7,0.95\n")

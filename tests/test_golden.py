@@ -5,10 +5,10 @@ These pin the output bytes of `estimate` (mean shift and RK4 flow tracer),
 is checked byte for byte. The digests are tied to the numpy, scipy and
 OpenBLAS builds they were computed with (numpy 2.4.6, scipy 1.17.1, OpenBLAS
 0.3.31 as bundled with numpy, Python 3.11.7, x86-64) and hold for any worker
-count for a fixed BLAS thread count: another build, or another OpenBLAS thread
-count, may round differently and move them (these inputs are too small to show
-the thread count; larger ones do). A change that alters output bytes on purpose
-updates the digests here and gives the reason in CHANGES.md.
+count and any OPENBLAS_NUM_THREADS, since the package sets OpenBLAS to one
+thread when it loads; another build may round differently and move them. A
+change that alters output bytes on purpose updates the digests here and gives
+the reason in CHANGES.md.
 """
 
 import hashlib
@@ -109,3 +109,14 @@ def test_converge_digests(tmp_path):
                  "--oracle-r1", "0.05", "--seed", "3", "--out",
                  str(tmp_path)]) == 0
     assert digests(tmp_path, GOLDEN["converge"]) == GOLDEN["converge"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_oracle_and_converge_digests_for_worker_counts(tmp_path, monkeypatch,
+                                                       workers):
+    # the critical-point search runs beside the trace, and converge's runs
+    # are spread over the workers; neither may move a byte
+    monkeypatch.setenv("PATHDENSITY_WORKERS", workers)
+    assert oracle_digests(tmp_path, "pentagon", "60", "1", "200",
+                          "40") == GOLDEN["oracle-pentagon"]
+    test_converge_digests(tmp_path / "converge")
