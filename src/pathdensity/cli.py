@@ -2,7 +2,8 @@
 
 All outputs are plain CSV/JSON/SVG, written deterministically for a given
 seed and input: neither the worker count nor OPENBLAS_NUM_THREADS changes the
-bytes, since OpenBLAS runs on one thread (see parallel.py). Exit codes:
+bytes, as work is split into fixed chunks and a field row's bits do not
+depend on the batch it is evaluated in. Exit codes:
 0 success, 2 usage or configuration, 3 data, 4 numerical failure.
 """
 
@@ -86,15 +87,21 @@ def read_points_csv(path) -> PointCloud:
     return PointCloud(np.asarray(rows))
 
 
+_CSV_ROWS = 8192
+
+
 def write_paths_csv(path, paths: PathEnsemble):
     counts = np.diff(paths.vertex_offsets)
     pid = np.repeat(np.arange(paths.n_paths), counts)
     step = np.arange(len(pid)) - np.repeat(paths.vertex_offsets[:-1], counts)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("path_id,step,x,y\n")
-        for i, k, (x, y) in zip(pid.tolist(), step.tolist(),
-                                paths.vertices.tolist()):
-            f.write(f"{i},{k},{_fmt(x)},{_fmt(y)}\n")
+        # a slice at a time: lists of every row would outweigh the arrays
+        for s in range(0, len(pid), _CSV_ROWS):
+            for i, k, (x, y) in zip(pid[s:s + _CSV_ROWS].tolist(),
+                                    step[s:s + _CSV_ROWS].tolist(),
+                                    paths.vertices[s:s + _CSV_ROWS].tolist()):
+                f.write(f"{i},{k},{_fmt(x)},{_fmt(y)}\n")
 
 
 def write_field_csv(path, fld: GridField):

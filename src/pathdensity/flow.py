@@ -35,8 +35,8 @@ class FlowNumericalError(RuntimeError):
 
 
 class MeanShiftUnderflowError(RuntimeError):
-    """All kernel weights underflowed to zero: a start too far from the data,
-    or a bandwidth below the resolution of the coordinates."""
+    """All kernel weights underflowed to zero: a start too far from the data.
+    A data point never underflows, as its distance to itself is exactly 0."""
 
 
 @dataclass(frozen=True)
@@ -293,12 +293,11 @@ def mean_shift_paths(cloud: PointCloud, h: float, starts,
             break
         idx = np.nonzero(active)[0]
         p = pos[idx]
-        s0, s1x, s1y = field.weight_sums(p, 1)
+        s0, s1x, s1y = field.mixture.weight_sums(p, 1)
         if np.any(s0 <= 0.0):
             raise MeanShiftUnderflowError(
                 f"all kernel weights underflowed at h = {float(h)!r}: a start "
-                "is too far from the data, or h is below the resolution of "
-                "the coordinates")
+                "is too far from the data")
         # the weight sum that divides the mean is the KDE at p, so each
         # vertex is recorded one step after it is reached (a start as given:
         # p + c need not round back to it)

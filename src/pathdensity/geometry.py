@@ -46,20 +46,23 @@ class Segments(NamedTuple):
         return Segments(*(c[key] for c in self))
 
 
-def segment_distances(points, segments: Segments, squared: bool = False) -> np.ndarray:
+def segment_distances(points, segments: Segments, squared: bool = False,
+                      out=None, work=(None, None, None)) -> np.ndarray:
     """Euclidean distance from points to segments, or its square.
 
     points is a (..., 2) array whose leading axes broadcast against the
     segments': points[:, None] against (s,) segments gives an (m, s) result.
     A zero-length segment gives the distance to its start. The square skips
     the sqrt, which is monotone and correctly rounded, so the sqrt of a min
-    over squares equals the min over the distances bit for bit.
+    over squares equals the min over the distances bit for bit. `out`, and
+    the three arrays of `work` that hold the temporaries, have the result's
+    shape when given.
     """
     points = np.asarray(points, dtype=float)
-    px = points[..., 0] - segments.ax
-    py = points[..., 1] - segments.ay
-    t = px * segments.dx
-    tmp = py * segments.dy
+    px = np.subtract(points[..., 0], segments.ax, out=out)
+    py = np.subtract(points[..., 1], segments.ay, out=work[0])
+    t = np.multiply(px, segments.dx, out=work[1])
+    tmp = np.multiply(py, segments.dy, out=work[2])
     t += tmp
     t /= segments.len2
     np.clip(t, 0.0, 1.0, out=t)

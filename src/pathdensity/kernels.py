@@ -5,6 +5,7 @@ The raw profile K(t) is what distance-smoothing uses; the 2-D normalizer c_K
 is applied only when K is promoted to a probability density on the plane.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,10 @@ class PointCloud:
         return float(np.max(hi - lo))
 
 
-_CHUNK = 1024
-_TILE = 65_536  # elements of a weight tile: its 512 KB buffer and the matching
-                # rows of the cross term stay in a 2 MB L2 cache
+_TILE = 65_536  # elements of a weight tile: its two 512 KB buffers stay in a
+                # 2 MB L2 cache
+_LOOP_NODES = 16  # mixtures of at most this many nodes sum their weights
+                  # node by node instead of by gemm
 
 
 class GaussianMixture:
@@ -81,43 +83,71 @@ class GaussianMixture:
     def __init__(self, sigma: float, nodes: np.ndarray, weights: np.ndarray):
         self.sigma = sigma
         self.nodes = np.ascontiguousarray(nodes)
-        self.twice_nodes = 2.0 * self.nodes
-        self.node_norms = (self.nodes * self.nodes).sum(axis=1)
+        # coordinates scaled so that a squared distance is the exponent
+        # ||p - q||^2 / (2 sigma^2), and the moments (w, w x, w y, w x^2,
+        # w x y, w y^2) times the density's normalizer 1 / (2 pi sigma^2)
+        self.scale = np.sqrt(0.5) / sigma
+        self.scaled_nodes = np.ascontiguousarray((self.nodes * self.scale).T)
         w, (x, y) = np.ascontiguousarray(weights), self.nodes.T
         wx, wy = w * x, w * y
-        self.moments = (w, wx, wy, wx * x, wx * y, wy * y)
+        self.moments = np.column_stack([w, wx, wy, wx * x, wx * y, wy * y]) / (
+            2.0 * np.pi * sigma * sigma)
+        self._tiles = threading.local()
 
     def weight_sums(self, pts, order: int) -> list:
         """Sums over the nodes of phi_i w_i, with phi_i the N2(0, sigma^2 I)
-        density at p - q_i, from one block of weights: s0 (the mixture's
-        value), then for order >= 1 s1x and s1y (times the node's x and y),
-        then for order 2 s2xx, s2xy and s2yy.
+        density at p - q_i: s0 (the mixture's value), then for order >= 1
+        s1x and s1y (times the node's x and y), then for order 2 s2xx, s2xy
+        and s2yy.
 
-        The squared distances expand as ||p||^2 + ||q||^2 - 2 p.q. The two
-        BLAS steps, the cross term 2 p.q and the moment gemv calls, each see
-        the whole block, because their rounding depends on the shape of the
-        call. The cross term takes its factor 2 from nodes doubled once:
-        scaling by 2 is exact, so pts @ (2 nodes).T has the bits of
-        2 (pts @ nodes.T) without a sweep over the block. The elementwise
-        chain from the cross term to phi runs over tiles of about _TILE
-        elements in one reused buffer, so that a block larger than the cache
-        is not swept once per step; each tile's weights overwrite its rows
-        of the cross term."""
-        cross = pts @ self.twice_nodes.T
-        p2 = (pts * pts).sum(axis=1)[:, None]
-        var = self.sigma * self.sigma
-        rows = max(1, _TILE // len(self.nodes))
-        buf = np.empty((min(rows, len(pts)), len(self.nodes)))
-        for s in range(0, len(pts), rows):
-            c = cross[s:s + rows]
-            d2 = buf[:len(c)]
-            np.add(p2[s:s + rows], self.node_norms, out=d2)
-            d2 -= c
-            np.maximum(d2, 0.0, out=d2)
-            d2 *= -0.5 / var
-            np.exp(d2, out=d2)
-            np.divide(d2, 2.0 * np.pi * var, out=c)
-        return [cross @ m for m in self.moments[:(1, 3, 6)[order]]]
+        A row's bits depend on that row alone, not on the batch it is in,
+        the batch's size or the order asked for. The weights
+        exp(-||p - q||^2 / (2 sigma^2)) come from direct differences in
+        scaled coordinates, so a point's weight at its own node is exactly 1.
+        Up to _LOOP_NODES nodes, one node's weights at a time are added into
+        each sum, without a gemm's fused multiply-adds, so that the sums at
+        points placed symmetrically about the nodes cancel exactly. More
+        nodes go in row tiles of about _TILE weights in two reused buffers,
+        and each tile's sums are one gemm against all six moments. The tile
+        height is fixed for the call, a multiple of 8 (padded with zero
+        rows): OpenBLAS (0.3.31) rounds a row alike at every such height up
+        to the tile's, whereas a call of one to three rows, a height of 62
+        or 63, or fewer moment columns round differently."""
+        n, m, k = len(self.nodes), len(pts), (1, 3, 6)[order]
+        px, py = np.ascontiguousarray(pts.T) * self.scale
+        if n <= _LOOP_NODES:
+            qx, qy = self.scaled_nodes[:, :, None]
+            d2 = np.square(px - qx)
+            d2 += np.square(py - qy)
+            phi = np.exp(np.negative(d2, out=d2), out=d2)
+            sums = np.zeros((k, m))
+            for w, mom in zip(phi, self.moments[:, :k, None]):
+                sums += w * mom
+            return list(sums)
+        rows = max(8, min(_TILE // n // 8 * 8, -(-m // 8) * 8))
+        qx, qy = self.scaled_nodes
+        # the two tile buffers are kept per thread from call to call: a tracer
+        # makes thousands of calls, and buffers that glibc unmaps and maps
+        # again each time cost a page fault per 4 KB
+        bufs = getattr(self._tiles, "bufs", None)
+        if bufs is None or len(bufs[0]) < rows:
+            bufs = self._tiles.bufs = np.empty((2, rows, n))
+        phi, tmp = bufs[:, :rows]
+        tile = np.empty((rows, 6))
+        sums = np.empty((k, m))
+        for s in range(0, m, rows):
+            r = min(rows, m - s)
+            d2, dy2 = phi[:r], tmp[:r]
+            np.subtract(px[s:s + r, None], qx, out=d2)
+            np.subtract(py[s:s + r, None], qy, out=dy2)
+            d2 *= d2
+            dy2 *= dy2
+            d2 += dy2
+            np.exp(np.negative(d2, out=d2), out=d2)
+            phi[r:] = 0.0
+            np.matmul(phi, self.moments, out=tile)
+            sums[:, s:s + r] = tile[:r, :k].T
+        return list(sums)
 
     def derivatives(self, pts, order: int) -> list:
         """Value, gradient and Hessian of the mixture at pts, up to `order`,
@@ -146,18 +176,6 @@ class GaussianMixture:
         return [s0, g, H]
 
 
-def in_blocks(fn, pts: np.ndarray, rows: int, *args) -> list:
-    """fn(block, *args) on consecutive `rows`-row blocks of pts (one empty
-    block when pts is empty), each returned term joined over the blocks.
-
-    A block is the unit the BLAS calls of GaussianMixture.weight_sums see
-    whole: their rounding depends on the row count, so each field keeps its
-    own `rows`, and the cache tiling inside a block leaves the bytes as they
-    are."""
-    parts = [fn(pts[s:s + rows], *args) for s in range(0, max(len(pts), 1), rows)]
-    return [np.concatenate(p) for p in zip(*parts)]
-
-
 def _unbatch(x, terms: list) -> tuple:
     """Field terms computed on as_points(x), unbatched when x is one point:
     the value as a float, the gradient (2,) and the Hessian (2, 2)."""
@@ -169,12 +187,12 @@ def _unbatch(x, terms: list) -> tuple:
 class KernelDensityField:
     """The KDE (1/n) sum_i (c_K/h^2) K(||x - X_i|| / h) as an evaluable scalar
     field: the Gaussian mixture of scale h with weight 1/n at each data
-    point, evaluated in blocks of _CHUNK rows.
+    point.
 
     The mixture lives in coordinates centred on `center`, the midpoint of the
-    data bounds: the squared distances expand ||p||^2 + ||q||^2 - 2 p.q, whose
-    rounding grows with ||p||^2, so data far from the origin (projected
-    coordinates, say) would otherwise blur the kernel weights.
+    data bounds: the Hessian's moment terms p^2 s0 - 2 p s1 + s2 cancel, with
+    a rounding that grows with ||p||^2, so data far from the origin
+    (projected coordinates, say) would otherwise blur the derivatives.
     """
 
     def __init__(self, cloud: PointCloud, h: float):
@@ -187,16 +205,11 @@ class KernelDensityField:
         self.mixture = GaussianMixture(self.h, cloud.points - self.center,
                                        np.full(cloud.n, 1.0 / cloud.n))
 
-    def weight_sums(self, pts, order: int) -> list:
-        """The mixture's weight sums at an (m, 2) batch of centred points
-        (x - center); s0 is the KDE, and s1 / s0 is a centred point too."""
-        return in_blocks(self.mixture.weight_sums, pts, _CHUNK, order)
-
     def derivatives(self, x, order: int) -> tuple:
         """(value, gradient, Hessian) at x up to `order` (0, 1 or 2), from one
         pass over the kernel weights."""
-        return _unbatch(x, in_blocks(self.mixture.derivatives,
-                                     as_points(x) - self.center, _CHUNK, order))
+        return _unbatch(x, self.mixture.derivatives(as_points(x) - self.center,
+                                                    order))
 
 
 def kde_density(cloud: PointCloud, h: float, x):

@@ -15,10 +15,7 @@ import numpy as np
 
 from .geometry import (as_points, point_on_polyline, polyline_arclength,
                        polyline_self_intersects)
-from .kernels import GaussianMixture, PointCloud, _unbatch, in_blocks
-
-_EVAL_CHUNK = 2048
-
+from .kernels import GaussianMixture, PointCloud, _unbatch
 
 # line-integral node density: roughly this many evaluation points per sigma
 # of arclength wherever the weight density is not vanishing
@@ -212,8 +209,7 @@ class FilamentModel:
         if self.background_weight > 0:
             terms[0] += self.background_weight * self._in_box(pts) / self.box_area
         for g in self._mixtures:
-            for total, part in zip(terms, in_blocks(g.derivatives, pts,
-                                                    _EVAL_CHUNK, order)):
+            for total, part in zip(terms, g.derivatives(pts, order)):
                 total += part
         return _unbatch(x, terms)
 

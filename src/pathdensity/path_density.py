@@ -139,20 +139,25 @@ class PathEnsemble:
         point-segment pairs (several points against all segments, or one
         point against a slice of segments when the ensemble alone has more),
         so that each temporary stays in cache, then one sqrt per (point,
-        path).
+        path). The blocks share one workspace, allocated once per call.
         """
         pts = as_points(points)[:, None]
         segs = self.segments
         n_seg = len(self.seg_a)
         rows = max(1, _PAIR_BLOCK // n_seg)
-        cols = _PAIR_BLOCK // rows
+        cols = min(_PAIR_BLOCK // rows, n_seg)
+        d2 = np.empty((min(rows, len(pts)), n_seg))
+        work = np.empty((3, d2.shape[0] * cols))
         out = np.empty((len(pts), self.n_paths))
         for s in range(0, len(pts), rows):
-            parts = [segment_distances(pts[s:s + rows],
-                                       segs.part(slice(c, c + cols)), squared=True)
-                     for c in range(0, n_seg, cols)]
-            d2 = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-            out[s:s + rows] = np.minimum.reduceat(d2, self.offsets[:-1], axis=1)
+            p = pts[s:s + rows]
+            for c in range(0, n_seg, cols):
+                d = d2[:len(p), c:c + cols]
+                segment_distances(p, segs.part(slice(c, c + cols)), squared=True,
+                                  out=d, work=[w[:d.size].reshape(d.shape)
+                                               for w in work])
+            out[s:s + rows] = np.minimum.reduceat(d2[:len(p)], self.offsets[:-1],
+                                                  axis=1)
         return np.sqrt(out, out=out)
 
 

@@ -381,15 +381,17 @@ def test_mean_shift_underflow_exits_4(pentagon_points, tmp_path, capsys,
     assert "underflowed" in capsys.readouterr().err
 
 
-def test_bandwidth_below_coordinate_resolution_exits_4_naming_h(
-        flag_inputs, tmp_path, capsys):
-    # every start is a data point, but the expanded squared distance of a
-    # point to itself rounds to about 1e-16, whose weight underflows here
+def test_bandwidth_below_coordinate_resolution_exits_0(flag_inputs, tmp_path):
+    # a point's distance to itself is exactly 0, so a data start keeps its
+    # own kernel weight however small h is, and each ends on its own mode
+    out = tmp_path / "o"
     assert run("estimate", "--points", str(flag_inputs / "points.csv"),
                "--h", "1e-12", "--nu", "0.05", "--grid", "8",
-               "--out", str(tmp_path / "o")) == 4
-    err = capsys.readouterr().err
-    assert "h = 1e-12" in err and "resolution of the coordinates" in err
+               "--out", str(out)) == 0
+    data = np.loadtxt(flag_inputs / "points.csv", delimiter=",", skiprows=1)
+    rows = np.loadtxt(out / "paths.csv", delimiter=",", skiprows=1)
+    last = np.flatnonzero(np.diff(rows[:, 0], append=np.inf))
+    np.testing.assert_allclose(rows[last, 2:], data, rtol=0, atol=1e-15)
 
 
 def test_estimate_deterministic_across_worker_counts(pentagon_points, tmp_path,

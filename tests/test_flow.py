@@ -452,6 +452,22 @@ def _as_arrays(crit):
             np.array([c.hessian_eigenvalues for c in crit]))
 
 
+def test_trace_in_slices_equals_one_batch():
+    # a row's field bits do not depend on the batch it is evaluated in, so
+    # tracing the starts in slices gives the one batch's paths bit for bit
+    model, cloud = random_pentagon_model(np.random.default_rng(3), n=1000)
+    cfg = model_flow_config(model)
+    whole = trace_ascent_paths(model, cloud.points, cfg)
+    parts = [trace_ascent_paths(model, cloud.points[s:s + 125], cfg)
+             for s in range(0, 1000, 125)]
+    np.testing.assert_array_equal(
+        np.concatenate([np.diff(p.vertex_offsets) for p in parts]),
+        np.diff(whole.vertex_offsets))
+    for name in ("vertices", "times", "converged", "trim_hint"):
+        np.testing.assert_array_equal(
+            np.concatenate([getattr(p, name) for p in parts]), getattr(whole, name))
+
+
 def test_batched_newton_equals_per_seed_loop_on_two_gaussians():
     model = two_gaussian_model()
     tol = model_flow_config(model).grad_tolerance
@@ -463,16 +479,14 @@ def test_batched_newton_equals_per_seed_loop_on_two_gaussians():
 
 
 def test_batched_newton_matches_per_seed_loop_on_pentagon():
-    # one-row and multi-row field calls may round the last bit differently
-    # (BLAS gemv against gemm), so locations agree to a relative 1e-12
+    # a one-row field call rounds each row as a batch does
     model, _ = random_pentagon_model(np.random.default_rng(21), n=100)
     tol = model_flow_config(model).grad_tolerance
-    loc, kinds, _ = _as_arrays(find_critical_points(model, model.box, tol))
-    ref_loc, ref_kinds, _ = _per_seed_critical_points(model, model.box, tol)
+    loc, kinds, ev = _as_arrays(find_critical_points(model, model.box, tol))
+    ref_loc, ref_kinds, ref_ev = _per_seed_critical_points(model, model.box, tol)
     assert kinds == ref_kinds
-    xmin, xmax, ymin, ymax = model.box
-    diam = np.hypot(xmax - xmin, ymax - ymin)
-    assert np.max(np.abs(loc - ref_loc)) <= 1e-12 * diam
+    assert np.array_equal(loc, ref_loc)
+    assert np.array_equal(ev, ref_ev)
 
 
 def test_singular_hessian_drops_only_its_own_seeds():

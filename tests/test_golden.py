@@ -5,10 +5,11 @@ These pin the output bytes of `estimate` (mean shift and RK4 flow tracer),
 is checked byte for byte. The digests are tied to the numpy, scipy and
 OpenBLAS builds they were computed with (numpy 2.4.6, scipy 1.17.1, OpenBLAS
 0.3.31 as bundled with numpy, Python 3.11.7, x86-64) and hold for any worker
-count and any OPENBLAS_NUM_THREADS, since the package sets OpenBLAS to one
-thread when it loads; another build may round differently and move them. A
-change that alters output bytes on purpose updates the digests here and gives
-the reason in CHANGES.md.
+count and any OPENBLAS_NUM_THREADS: work is split into fixed chunks, and the
+Gaussian weight sums are taken in fixed-shape row tiles whose rounding does
+not depend on the batch or on the BLAS's threads. Another build may round
+differently and move them. A change that alters output bytes on purpose
+updates the digests here and gives the reason in CHANGES.md.
 """
 
 import hashlib
@@ -22,9 +23,9 @@ ESTIMATE_FILES = ("paths.csv", "field.csv", "levelset.csv", "figure.svg")
 GOLDEN = {
     "estimate-meanshift": {
         "paths.csv":
-            "f552bb5a8f2741278d6b4a51db8a53ea11db30161a2745331ac6dc52c4c79220",
+            "697cab41827472a82077476ed03341568992aae1227b83652c7eb9535eb16f7d",
         "field.csv":
-            "8c1eeec143f2d680744ad8605953134fb7482fdd3a69af4ba47b4d307abad47b",
+            "6f7b5292d2270cee2bfb4103a1ddf7942b5007b580688e78f74bb65ccabac0a7",
         "levelset.csv":
             "0ffef3133244b585194d384aa3ddf77473af79411357771dffb809071eb5b728",
         "figure.svg":
@@ -32,9 +33,9 @@ GOLDEN = {
     },
     "estimate-flow": {
         "paths.csv":
-            "14e885c8898eb2bcaf8150adf5f7471a8ecbe44c32df530e8f112173cb52729e",
+            "25ad1398aa9f16fc3cd9d7bcbdd4ad02b8d56a64aaeaf35bce89f5ba5e3d054d",
         "field.csv":
-            "434350a24cc37e1d6cdd1b9d64b3cccbf7ae9a9837995ee43b7672a3a9466350",
+            "2d1147984c9fe410778c6ea8d71f87f227716cb1aff7aef48b7e1d013e92ffaa",
         "levelset.csv":
             "0ffef3133244b585194d384aa3ddf77473af79411357771dffb809071eb5b728",
         "figure.svg":
@@ -44,14 +45,14 @@ GOLDEN = {
         "oracle_field.csv":
             "af4e8baac489280327fde01900049c6fd48cd71824bb970206c5f3a0feb42fc8",
         "critical_points.csv":
-            "621daef8844c126fd77ca55071a318951372c98f9df9e2e7ef0a953cb8fc2af3",
+            "a576effbc5bb240c27a2ca2e0a446da4d5e5582457ca238aa17261a475a6cf8c",
     },
     # a beta-weighted pentagon: filaments, not just clusters, on the oracle path
     "oracle-pentagon": {
         "oracle_field.csv":
             "884f2ada23afa5445bb3205afb3f610ddf485cd9977b2134fae041e01c2032ce",
         "critical_points.csv":
-            "c5424555bd5d8eff2f0b6964850a83b4744b31c149ed284d92ef17c775ed5b24",
+            "3775c2bfbf63ec5a3c29f768bc05cbdf042b4a959ddf869117af99c539475ae9",
     },
     "converge": {
         "rate_table.csv":

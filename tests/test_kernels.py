@@ -5,7 +5,8 @@ from pathdensity.flow import kde_flow_config, mean_shift_paths
 from pathdensity.kernels import (_TILE, NORMALIZER, GaussianMixture,
                                  KernelDensityField, PointCloud, gaussian,
                                  kde_density, kde_gradient)
-from pathdensity.model import FilamentModel, cluster_model, two_gaussian_model
+from pathdensity.model import (FilamentModel, cluster_model, random_pentagon_model,
+                               two_gaussian_model)
 
 from conftest import fd_gradient, fd_hessian
 
@@ -189,10 +190,9 @@ def test_derivatives_equal_the_views(small_cloud):
 
 
 def test_kde_is_the_equal_weight_cluster_model_at_its_data_points(small_cloud):
-    # one Gaussian-mixture evaluator serves both fields; the KDE's row
-    # blocks (1,024) are smaller than the model's, so a batch of 1,024 rows
-    # is one block in each. The KDE's mixture lives in coordinates centred
-    # on kde.center, so the model is built and evaluated there too
+    # one Gaussian-mixture evaluator serves both fields. The KDE's mixture
+    # lives in coordinates centred on kde.center, so the model is built and
+    # evaluated there too
     h = 0.4
     kde = KernelDensityField(small_cloud, h)
     c = kde.center
@@ -206,29 +206,37 @@ def test_kde_is_the_equal_weight_cluster_model_at_its_data_points(small_cloud):
 # -- tiled weight block -------------------------------------------------------
 
 def untiled_weight_sums(mixture, pts, order):
-    """GaussianMixture.weight_sums as one untiled expression over the whole
-    block: the reference the row tiles must reproduce bit for bit."""
-    d2 = ((pts * pts).sum(axis=1)[:, None]
-          + (mixture.nodes * mixture.nodes).sum(axis=1)[None, :])
-    d2 -= 2.0 * (pts @ mixture.nodes.T)
-    phi = np.maximum(d2, 0.0, out=d2)
-    var = mixture.sigma * mixture.sigma
-    np.multiply(phi, -0.5 / var, out=phi)
-    np.exp(phi, out=phi)
-    np.divide(phi, 2.0 * np.pi * var, out=phi)
-    return [phi @ m for m in mixture.moments[:(1, 3, 6)[order]]]
+    """GaussianMixture.weight_sums as one expression over the whole block:
+    the reference the row tiles must reproduce bit for bit. The weights come
+    from direct differences in the mixture's scaled coordinates; the six
+    moment sums are taken node by node for at most 16 nodes, else by one
+    gemm per 8-row slice of the block padded with zero rows, a height whose
+    row bits every tile height shares."""
+    p = pts * mixture.scale
+    qx, qy = mixture.scaled_nodes
+    phi = np.exp(-((p[:, :1] - qx) ** 2 + (p[:, 1:] - qy) ** 2))
+    m, n = phi.shape
+    if n <= 16:
+        sums = sum(phi[:, j:j + 1] * mixture.moments[j] for j in range(n))
+    else:
+        padded = np.concatenate([phi, np.zeros((-m % 8, n))])
+        sums = (padded.reshape(-1, 8, n) @ mixture.moments).reshape(-1, 6)[:m]
+    return list(np.reshape(sums, (m, 6)).T[:(1, 3, 6)[order]])
 
 
-def bench_pentagon_mixture():
+def bench_pentagon_model_doc():
     # the first pentagon of perfbench/run.py: five arcsine-weighted sides
     ring = np.array([(0.312, 0.423), (0.550, 0.028), (0.828, 0.409),
                      (0.512, 0.950), (0.144, 0.949), (0.312, 0.423)])
     lengths = np.hypot(*np.diff(ring, axis=0).T)
-    model = FilamentModel.from_dict({"box": [0.0, 1.0, 0.0, 1.0], "filaments": [
+    return {"box": [0.0, 1.0, 0.0, 1.0], "filaments": [
         {"vertices": ring[i:i + 2].tolist(), "sigma": 0.03, "weight": float(w),
          "length_density": {"kind": "beta", "a": 0.5, "b": 0.5}}
-        for i, w in enumerate(lengths / lengths.sum())]})
-    (mixture,) = model._mixtures
+        for i, w in enumerate(lengths / lengths.sum())]}
+
+
+def bench_pentagon_mixture():
+    (mixture,) = FilamentModel.from_dict(bench_pentagon_model_doc())._mixtures
     return mixture
 
 
@@ -251,7 +259,7 @@ def random_mixture(n_nodes):
 def test_tiled_weight_sums_equal_the_untiled_block(make, n_nodes):
     mixture = make()
     assert len(mixture.nodes) == n_nodes
-    tile = max(1, _TILE // n_nodes)
+    tile = max(8, _TILE // n_nodes // 8 * 8)  # the tile height of a large batch
     # a block of 2,048 rows against 65,541 nodes would take 1 GB
     sizes = {0, 1, tile - 1, tile, tile + 1, 1024, 2048}
     sizes = sorted(m for m in sizes if m * n_nodes <= 2048 * 1600)
@@ -260,7 +268,7 @@ def test_tiled_weight_sums_equal_the_untiled_block(make, n_nodes):
     hi = mixture.nodes.max(axis=0) + 3 * mixture.sigma
     for m in sizes:
         pts = rng.uniform(lo, hi, (m, 2))
-        # points on a node (the clamp at 0) and far off (weights underflow)
+        # points on a node (distance exactly 0) and far off (weights underflow)
         pts[:m // 8] = mixture.nodes[rng.integers(0, n_nodes, m // 8)]
         pts[m // 8:m // 4] += 50.0 * (hi - lo)
         for order in (0, 1, 2):
@@ -269,3 +277,32 @@ def test_tiled_weight_sums_equal_the_untiled_block(make, n_nodes):
             assert len(got) == len(want) == (1, 3, 6)[order]
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: KernelDensityField(PointCloud(
+        np.random.default_rng(7).uniform(0.0, 1.0, (1600, 2))), 0.05),
+    lambda: FilamentModel.from_dict(bench_pentagon_model_doc()),
+    lambda: random_pentagon_model(np.random.default_rng(1), n=10,
+                                  background=True)[0],
+    # 16 nodes: the largest mixture whose weights are summed node by node
+    lambda: cluster_model(np.random.default_rng(16).uniform(0.2, 0.8, (16, 2)),
+                          0.1, (0.0, 1.0, 0.0, 1.0)),
+], ids=["kde-1600", "bench-pentagon", "pentagon-background", "16-clusters"])
+def test_field_rows_do_not_depend_on_their_batch_or_order(make):
+    field = make()
+    rng = np.random.default_rng(12)
+    # inside each model's box [0, 1]^2, off its edge
+    pts = rng.uniform(0.02, 0.98, (100, 2))
+    full = field.derivatives(pts, 2)
+    for order in (0, 1, 2):
+        batch = field.derivatives(pts, order)
+        assert len(batch) == order + 1
+        for a, b in zip(batch, full):
+            np.testing.assert_array_equal(a, b)
+        for rows in (1, 2, 3, 7):
+            blocks = [field.derivatives(pts[s:s + rows], order)
+                      for s in range(0, len(pts), rows)]
+            for t, term in enumerate(batch):
+                np.testing.assert_array_equal(
+                    np.concatenate([b[t] for b in blocks]), term)

@@ -1,4 +1,5 @@
-"""OpenBLAS on one thread, the default worker count, and `beside`."""
+"""Output bytes under any BLAS thread count, the default worker count, and
+`beside`."""
 
 import hashlib
 import os
@@ -37,21 +38,13 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert digests["1"] == digests["2"]
 
 
-def test_default_workers_follow_the_pin(monkeypatch):
+def test_default_workers_are_one_per_usable_cpu(monkeypatch):
     monkeypatch.delenv(parallel.WORKERS_ENV, raising=False)
-    monkeypatch.setattr(parallel, "BLAS_PINNED", True)
     assert worker_count() == len(os.sched_getaffinity(0))
-    monkeypatch.setattr(parallel, "BLAS_PINNED", False)
-    assert worker_count() == 1
     # the variable and an explicit count still win
     monkeypatch.setenv(parallel.WORKERS_ENV, "3")
     assert worker_count() == 3
     assert worker_count(5) == 5
-
-
-def test_blas_is_pinned_with_numpys_openblas():
-    # numpy's wheel bundles an OpenBLAS that exports a thread setter
-    assert parallel.BLAS_PINNED
 
 
 @pytest.mark.parametrize("workers", [1, 2])
