@@ -26,7 +26,7 @@ from .levelset import level_set, quantile_threshold
 from .model import FilamentModel, random_pentagon_model, two_gaussian_model
 from .oracle import (convergence_experiment, default_r1, model_flow_config,
                      oracle_field)
-from .parallel import beside, worker_count
+from .parallel import map_indexed, worker_count
 from .path_density import PathEnsemble, default_bandwidths, path_density_field
 
 EXIT_USAGE = 2
@@ -164,11 +164,18 @@ def _load_model(args) -> FilamentModel:
 
 
 def _load_traced_model(args) -> FilamentModel:
-    """A saved model with a filament or cluster to scale the oracle's tracing."""
+    """A saved model with a component of positive weight to scale the tracing."""
     model = _load_model(args)
     if model.max_sigma <= 0:
-        raise DataError(f"{args.model_json}: no filament or cluster to trace")
+        raise DataError(f"{args.model_json}: no filament or cluster of positive weight")
     return model
+
+
+def _warn_unconverged(paths: PathEnsemble):
+    """One stderr line when any path was cut at max_steps or stalled."""
+    if n := int(np.count_nonzero(~paths.converged)):
+        print(f"warning: {n} of {paths.n_paths} paths did not converge "
+              "(cut at max_steps or stalled)", file=sys.stderr)
 
 
 # -- commands -----------------------------------------------------------------
@@ -318,6 +325,7 @@ def cmd_estimate(args) -> int:
     else:
         paths = trace_ascent_paths(KernelDensityField(cloud, h), cloud.points,
                                    kde_flow_config(cloud, h))
+    _warn_unconverged(paths)
 
     fld = path_density_field(paths, nu, grid, workers=workers)
     lam = quantile_threshold(fld, cloud, args.quantile)
@@ -357,12 +365,13 @@ def cmd_oracle(args) -> int:
     _workers()  # refuses a bad PATHDENSITY_WORKERS before --out is made
     out = _make_out(args)
 
-    tol = model_flow_config(model).grad_tolerance  # caches the mixtures first
     # both looked up when called, where perfbench/tracer.py wraps them
-    crit, segs = beside(
-        lambda: find_critical_points(model, model.box, tol),
+    crit, segs = map_indexed(lambda task: task(), (
+        lambda: find_critical_points(model, model.box,
+                                     model_flow_config(model).grad_tolerance),
         lambda: oracle.sample_and_trace(model, args.n_mc,
-                                        np.random.default_rng(args.seed)))
+                                        np.random.default_rng(args.seed))))
+    _warn_unconverged(segs)
     fld = oracle_field(segs, grid, r1)
     write_field_csv(out / "oracle_field.csv", fld)
     write_critical_points_csv(out / "critical_points.csv", crit)
@@ -476,10 +485,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 def _apply_config(rest, commands):
     """Make the keys of the JSON file named first in `rest` the defaults of
     every subcommand; each key must be the name of some subcommand's flag."""
+    if not rest:
+        raise UsageError("--config needs a file name")
     try:
         with open(rest[0], "r", encoding="utf-8") as f:
             defaults = json.load(f)
-    except (OSError, json.JSONDecodeError, IndexError) as e:
+    except (OSError, json.JSONDecodeError) as e:
         raise UsageError(f"cannot read config: {e}")
     if not isinstance(defaults, dict):
         raise UsageError("config must be a JSON object")

@@ -270,7 +270,8 @@ def mean_shift_paths(cloud: PointCloud, h: float, starts,
 
     Each iterate moves to the kernel-weighted mean of the data; the sequence
     ascends the KDE and stops when the displacement drops below
-    min_displacement (default 1e-6 h), or after max_steps.
+    min_displacement (default 1e-6 h) or 4 ulps of the largest centred data
+    coordinate, below which a mean only rounds to and fro, or after max_steps.
     """
     field = KernelDensityField(cloud, h)
     if min_displacement is None:
@@ -281,6 +282,7 @@ def mean_shift_paths(cloud: PointCloud, h: float, starts,
     # iterate in the field's centred coordinates; vertices are recorded in
     # the data's own
     c = field.center
+    stop = max(min_displacement, 4.0 * np.spacing(np.max(np.abs(field.mixture.nodes))))
     starts = as_points(starts)
     m = len(starts)
     pos = starts - c
@@ -306,7 +308,7 @@ def mean_shift_paths(cloud: PointCloud, h: float, starts,
         disp = np.hypot(new[:, 0] - p[:, 0], new[:, 1] - p[:, 1])
         pos[idx] = new
         t[idx] = step + 1
-        active[idx[disp < min_displacement]] = False
+        active[idx[disp < stop]] = False
 
     # every path's last vertex is still unrecorded
     pos += c

@@ -155,14 +155,15 @@ class FilamentModel:
 
     @property
     def max_sigma(self) -> float:
-        sigmas = [f.sigma for f in self.filaments] + [c.sigma for c in self.clusters]
-        return max(sigmas) if sigmas else 0.0
+        """The largest noise scale of a component of positive weight, 0 if none."""
+        return max((g.sigma for g in self._mixtures), default=0.0)
 
     def anchor_points(self) -> np.ndarray:
-        """Filament polyline vertices plus cluster centers (the set the
-        detector is meant to recover)."""
-        parts = [f.vertices for f in self.filaments]
-        parts += [np.asarray([c.center]) for c in self.clusters]
+        """Vertices of the filaments and centers of the clusters of positive
+        weight (the set the detector is meant to recover)."""
+        parts = [f.vertices for a, f in zip(self.filament_weights, self.filaments) if a > 0]
+        parts += [np.asarray([c.center])
+                  for a, c in zip(self.cluster_weights, self.clusters) if a > 0]
         return np.concatenate(parts) if parts else np.empty((0, 2))
 
     def _in_box(self, pts):

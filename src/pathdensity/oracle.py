@@ -17,7 +17,7 @@ from .flow import (FlowConfig, find_critical_points, mean_shift_paths,
 from .geometry import segment_distances
 from .grids import GridField, GridSpec
 from .model import FilamentModel
-from .parallel import beside, map_indexed
+from .parallel import map_indexed
 from .path_density import PathEnsemble, default_bandwidths, estimate_path_density
 
 
@@ -210,19 +210,18 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
     across the whole sweep: probes within twice the largest nu of the sweep
     of any true maximum or saddle are dropped (a per-run exclusion would
     expose more of the near-mode divergence as n grows and mask the decay).
-    The truth raster is shared across runs. Its trace runs beside the
-    critical-point search, and the runs, each seeded, over the workers.
+    The truth raster is shared across runs. Its trace and the critical-point
+    search run as two tasks on the workers, and then the runs, each seeded.
     """
     seq = np.random.SeedSequence(seed)
     oracle_seed, *run_seeds = seq.spawn(1 + len(n_list) * replicates)
 
-    def truth_counts():
-        segs = sample_and_trace(model, oracle_n_mc, np.random.default_rng(oracle_seed))
-        return path_hit_counts(segs, probe_grid, [oracle_r1, 2 * oracle_r1])
-
-    tol = model_flow_config(model).grad_tolerance  # caches the mixtures first
-    crit, counts = beside(lambda: find_critical_points(model, model.box, tol),
-                          truth_counts)
+    crit, counts = map_indexed(lambda task: task(), (
+        lambda: find_critical_points(model, model.box,
+                                     model_flow_config(model).grad_tolerance),
+        lambda: path_hit_counts(
+            sample_and_trace(model, oracle_n_mc, np.random.default_rng(oracle_seed)),
+            probe_grid, [oracle_r1, 2 * oracle_r1])))
     excl = np.asarray([c.location for c in crit if c.kind in ("maximum", "saddle")],
                       dtype=float).reshape(-1, 2)
     # oracle_field's estimate, rounded as counts / (n r) rather than

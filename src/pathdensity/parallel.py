@@ -30,7 +30,8 @@ def worker_count(explicit: int | None = None) -> int:
 
 
 def map_indexed(fn, items, workers: int | None = None) -> list:
-    """Apply fn to each item; results ordered like the input regardless of pool."""
+    """Apply fn to each item; results ordered like the input regardless of
+    pool. The first failing item's exception (in input order) propagates."""
     n = worker_count(workers)
     items = list(items)
     if n == 1 or len(items) <= 1:
@@ -38,17 +39,3 @@ def map_indexed(fn, items, workers: int | None = None) -> list:
     with ThreadPoolExecutor(max_workers=n) as ex:
         return list(ex.map(fn, items))
 
-
-def beside(side, main, workers: int | None = None) -> tuple:
-    """(side(), main()): side on a pool thread while main runs on the calling
-    thread, or the two in turn with one worker. An exception from either
-    propagates (side's when both raise, as in turn)."""
-    if worker_count(workers) == 1:
-        return side(), main()
-    with ThreadPoolExecutor(max_workers=1) as ex:
-        fut = ex.submit(side)
-        try:
-            m = main()
-        finally:
-            s = fut.result()
-    return s, m

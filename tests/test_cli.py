@@ -1,5 +1,8 @@
+import dataclasses
+import functools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -195,6 +198,7 @@ def test_estimate_malformed_csv_exits_3_with_line(tmp_path, capsys):
     ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--quantile", "1.5"], 2),
     ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--grid", "1"], 2),
     ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--trim", "-1"], 2),
+    ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--trim", "abc"], 2),
     ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--bounds", "0,1,a,1"], 2),
     ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--bounds", "0,1,0,0.6"], 2),
     ("0.1,0.2\n0.5,0.5\n0.3,0.9\n", ["--h", "nan"], 2),
@@ -211,7 +215,8 @@ def test_estimate_malformed_csv_exits_3_with_line(tmp_path, capsys):
     # spread 0.008: the default rule's bandwidth underflows to 0
     ("0.001,0.002\n0.005,0.005\n0.003,0.009\n", ["--c-h", "5e-324"], 2),
     ("0.001,0.002\n0.005,0.005\n0.003,0.009\n", ["--c-nu", "5e-324"], 2),
-], ids=["nan-row", "coincident", "quantile", "grid", "negative-trim", "bounds",
+], ids=["nan-row", "coincident", "quantile", "grid", "negative-trim",
+        "text-trim", "bounds",
         "bounds-exclude-data", "h-nan", "h-inf", "nu-nan", "nu-inf", "c-h-nan",
         "c-h-negative", "c-nu-zero", "bounds-infinite", "workers-0",
         "workers-negative", "tracer", "c-h-underflow", "c-nu-underflow"])
@@ -392,6 +397,45 @@ def test_bandwidth_below_coordinate_resolution_exits_0(flag_inputs, tmp_path):
     rows = np.loadtxt(out / "paths.csv", delimiter=",", skiprows=1)
     last = np.flatnonzero(np.diff(rows[:, 0], append=np.inf))
     np.testing.assert_allclose(rows[last, 2:], data, rtol=0, atol=1e-15)
+    # a mean that rounds to a neighbouring float stops within 4 ulps of the
+    # coordinates instead of stepping to and fro until max_steps
+    assert np.bincount(rows[:, 0].astype(int)).max() <= 3
+
+
+@pytest.mark.parametrize("max_steps", [2, None], ids=["cut", "golden"])
+def test_estimate_counts_paths_that_did_not_converge(tmp_path, capsys,
+                                                    monkeypatch, max_steps):
+    # the input of the golden mean-shift run, on which every path converges
+    import pathdensity.cli as cli
+
+    if max_steps is not None:
+        monkeypatch.setattr(cli, "mean_shift_paths", functools.partial(
+            cli.mean_shift_paths, max_steps=max_steps))
+    sim = tmp_path / "sim"
+    assert run("simulate", "--model", "pentagon", "--n", "150", "--seed", "7",
+               "--out", str(sim)) == 0
+    capsys.readouterr()
+    assert run("estimate", "--points", str(sim / "points.csv"), "--grid", "32",
+               "--out", str(tmp_path / "o")) == 0
+    warned = re.findall(r"warning: (\d+) of 150 paths did not converge",
+                        capsys.readouterr().err)
+    if max_steps is None:
+        assert warned == []
+    else:
+        assert len(warned) == 1 and int(warned[0]) > 0
+
+
+def test_oracle_counts_paths_that_did_not_converge(two_gaussian_json, tmp_path,
+                                                   capsys, monkeypatch):
+    import pathdensity.oracle as oracle
+
+    flow_config = oracle.model_flow_config
+    monkeypatch.setattr(oracle, "model_flow_config", lambda model: dataclasses.replace(
+        flow_config(model), max_steps=2))
+    assert run("oracle", "--model-json", str(two_gaussian_json), "--n-mc", "40",
+               "--grid", "8", "--seed", "1", "--out", str(tmp_path / "o")) == 0
+    assert re.search(r"warning: [1-9]\d* of 40 paths did not converge",
+                     capsys.readouterr().err)
 
 
 def test_estimate_deterministic_across_worker_counts(pentagon_points, tmp_path,
@@ -524,15 +568,32 @@ def test_invalid_model_file_exits_3(tmp_path, capsys, argv, kind):
     ["converge", "--n", "50,100", "--reps", "1", *FAST_CONVERGE],
 ], ids=["oracle", "converge"])
 def test_model_with_nothing_to_trace_exits_3(tmp_path, capsys, argv):
-    # background only: no filament or cluster sets the tracing scale
+    # background only: no filament or cluster sets the tracing scale, nor
+    # does a cluster of weight 0, which is not in the density
     bg = tmp_path / "model.json"
-    bg.write_text(json.dumps({"version": 1, "box": [0, 1, 0, 1],
-                              "background_weight": 1.0}))
-    assert run(*argv, "--model-json", str(bg), "--seed", "1",
-               "--out", str(tmp_path / "o")) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(bg) in err
-    assert not (tmp_path / "o").exists()
+    for clusters in ([], [{**_CLUSTER, "weight": 0.0}]):
+        bg.write_text(json.dumps({"version": 1, "box": [0, 1, 0, 1],
+                                  "background_weight": 1.0, "clusters": clusters}))
+        assert run(*argv, "--model-json", str(bg), "--seed", "1",
+                   "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bg) in err
+        assert not (tmp_path / "o").exists()
+
+
+def test_zero_weight_component_leaves_oracle_outputs_unchanged(pentagon_points,
+                                                               tmp_path):
+    # a wide cluster of weight 0 must not set the step, r1 or bounds pad
+    doc = json.loads((pentagon_points / "model.json").read_text())
+    doc["clusters"] = [{"center": [0.5, 0.5], "sigma": 1.0, "weight": 0.0}]
+    padded = tmp_path / "padded.json"
+    padded.write_text(json.dumps(doc))
+    for model, out in ((pentagon_points / "model.json", "plain"),
+                       (padded, "padded")):
+        assert run("oracle", "--model-json", str(model), "--n-mc", "100",
+                   "--grid", "16", "--seed", "1", "--out", str(tmp_path / out)) == 0
+    for name in ("oracle_field.csv", "critical_points.csv"):
+        assert read(tmp_path / "plain" / name) == read(tmp_path / "padded" / name)
 
 
 # -- oracle -------------------------------------------------------------------
@@ -641,6 +702,27 @@ def test_config_value_of_the_wrong_type_exits_2(flag_inputs, two_gaussian_json,
     key = next(iter(config))
     err = capsys.readouterr().err
     assert f"'{key}'" in err or f"--{key.replace('_', '-')}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["converge", "--model", "pentagon", "--seed", "1", "--out", "{out}"],
+     "converge needs --model two-gaussian or --model-json"),
+    (["--config", "{missing}", "simulate", "--seed", "1", "--out", "{out}"],
+     "cannot read config: "),
+    (["--config", "{listed}", "simulate", "--seed", "1", "--out", "{out}"],
+     "config must be a JSON object"),
+    (["estimate", "--points", "{points}", "--out", "{out}", "--config"],
+     "--config needs a file name"),
+], ids=["converge-model", "config-missing", "config-list", "config-no-name"])
+def test_documented_usage_errors_exit_2(flag_inputs, tmp_path, capsys, argv,
+                                        message):
+    names = {"points": flag_inputs / "points.csv", "out": tmp_path / "o",
+             "missing": tmp_path / "missing.json", "listed": tmp_path / "list.json"}
+    names["listed"].write_text("[]")
+    assert run(*(a.format(**names) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_rejects_keys_no_flag_uses(two_gaussian_json, tmp_path, capsys):

@@ -9,6 +9,7 @@ from pathdensity.flow import find_critical_points
 from pathdensity.geometry import polyline_self_intersects
 from pathdensity.model import (Filament, FilamentModel, cluster_model,
                                random_pentagon_model, two_gaussian_model)
+from pathdensity.oracle import default_r1, model_flow_config
 
 from conftest import convex_hull_contains, fd_gradient, fd_hessian
 
@@ -105,6 +106,23 @@ def test_single_cluster_density_is_gaussian():
     d2 = ((x - [0.3, -0.2]) ** 2).sum()
     expected = np.exp(-0.5 * d2 / 0.16) / (2 * np.pi * 0.16)
     assert m.value(x) == pytest.approx(expected, rel=1e-14)
+
+
+def test_zero_weight_components_set_no_scale():
+    # a filament and a cluster of weight 0 are not in the density, so they
+    # set neither the noise scale nor the anchors the oracle traces by
+    box = (-2.0, 2.0, -2.0, 2.0)
+    plain = cluster_model([(0.3, -0.2)], 0.1, box)
+    padded = FilamentModel([unit_filament(sigma=0.5)], [0.0],
+                           [((0.3, -0.2), 0.1), ((-1.0, 1.0), 1.0)], [1.0, 0.0],
+                           0.0, box)
+    assert padded.max_sigma == plain.max_sigma == 0.1
+    np.testing.assert_array_equal(padded.anchor_points(), plain.anchor_points())
+    assert model_flow_config(padded) == model_flow_config(plain)
+    assert default_r1(padded) == default_r1(plain)
+    # nothing of positive weight: no scale and no anchors
+    bg = FilamentModel([], [], [((0.0, 0.0), 0.5)], [0.0], 1.0, box)
+    assert bg.max_sigma == 0.0 and bg.anchor_points().shape == (0, 2)
 
 
 def test_background_only_density():

@@ -1,18 +1,18 @@
 """Output bytes under any BLAS thread count, the default worker count, and
-`beside`."""
+`map_indexed`."""
 
 import hashlib
 import os
 import subprocess
 import sys
-import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from pathdensity import parallel
 from pathdensity.cli import main
-from pathdensity.parallel import beside, worker_count
+from pathdensity.parallel import map_indexed, worker_count
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,27 +48,39 @@ def test_default_workers_are_one_per_usable_cpu(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_beside_returns_both_results_with_main_on_the_calling_thread(workers):
-    caller = threading.get_ident()
-    side, main_ = beside(lambda: "side", lambda: threading.get_ident(), workers)
-    assert (side, main_) == ("side", caller)
+def test_map_indexed_returns_results_in_input_order(workers):
+    # later items finish first, and the results still come back in order
+    def task(k):
+        time.sleep(0.01 * (3 - k))
+        return k * k
+
+    assert map_indexed(task, range(4), workers) == [0, 1, 4, 9]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_beside_reraises_the_side_exception(workers):
-    def side():
-        raise KeyError("side")
+def test_map_indexed_raises_the_first_failing_items_exception(workers):
+    started = []
 
-    ran = []
-    with pytest.raises(KeyError, match="side"):
-        beside(side, lambda: ran.append(1), workers)
-    # in turn, main never starts; beside it, main finishes first
-    assert ran == ([] if workers == 1 else [1])
+    def task(k):
+        started.append(k)
+        if k == 0:
+            raise KeyError("first")
+        if k == 1:
+            raise ValueError("second")
+        return k
+
+    with pytest.raises(KeyError, match="first"):
+        map_indexed(task, range(3), workers)
+    # in turn, no item after the failing one starts
+    if workers == 1:
+        assert started == [0]
 
 
-def test_beside_reraises_the_main_exception():
-    def main_():
-        raise ValueError("main")
+def test_map_indexed_raises_a_later_items_exception():
+    def task(k):
+        if k == 1:
+            raise ValueError("later")
+        return k
 
-    with pytest.raises(ValueError, match="main"):
-        beside(lambda: None, main_, 2)
+    with pytest.raises(ValueError, match="later"):
+        map_indexed(task, range(2), 2)
