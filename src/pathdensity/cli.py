@@ -171,10 +171,10 @@ def _load_traced_model(args) -> FilamentModel:
     return model
 
 
-def _warn_unconverged(paths: PathEnsemble):
-    """One stderr line when any path was cut at max_steps or stalled."""
-    if n := int(np.count_nonzero(~paths.converged)):
-        print(f"warning: {n} of {paths.n_paths} paths did not converge "
+def _warn_unconverged(n: int, n_paths: int):
+    """One stderr line when any of n_paths paths was cut at max_steps or stalled."""
+    if n:
+        print(f"warning: {n} of {n_paths} paths did not converge "
               "(cut at max_steps or stalled)", file=sys.stderr)
 
 
@@ -325,7 +325,7 @@ def cmd_estimate(args) -> int:
     else:
         paths = trace_ascent_paths(KernelDensityField(cloud, h), cloud.points,
                                    kde_flow_config(cloud, h))
-    _warn_unconverged(paths)
+    _warn_unconverged(np.count_nonzero(~paths.converged), paths.n_paths)
 
     fld = path_density_field(paths, nu, grid, workers=workers)
     lam = quantile_threshold(fld, cloud, args.quantile)
@@ -371,7 +371,7 @@ def cmd_oracle(args) -> int:
                                      model_flow_config(model).grad_tolerance),
         lambda: oracle.sample_and_trace(model, args.n_mc,
                                         np.random.default_rng(args.seed))))
-    _warn_unconverged(segs)
+    _warn_unconverged(np.count_nonzero(~segs.converged), segs.n_paths)
     fld = oracle_field(segs, grid, r1)
     write_field_csv(out / "oracle_field.csv", fld)
     write_critical_points_csv(out / "critical_points.csv", crit)
@@ -406,6 +406,7 @@ def cmd_converge(args) -> int:
     table = convergence_experiment(model, n_list, args.reps, probe, args.seed,
                                    oracle_n_mc=args.oracle_n_mc,
                                    oracle_r1=args.oracle_r1)
+    _warn_unconverged(table.truth_unconverged, args.oracle_n_mc)
     with open(out / "rate_table.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("n,replicate,sup_error\n")
         for n, rep, err in table.rows:

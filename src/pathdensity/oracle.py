@@ -169,6 +169,7 @@ class RateTable:
     ci95: tuple[float, float]
     median_rows: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    truth_unconverged: int = 0  # truth paths cut at max_steps or stalled
 
     @staticmethod
     def _medians(rows) -> dict[int, float]:
@@ -216,12 +217,15 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
     seq = np.random.SeedSequence(seed)
     oracle_seed, *run_seeds = seq.spawn(1 + len(n_list) * replicates)
 
-    crit, counts = map_indexed(lambda task: task(), (
+    def truth():
+        segs = sample_and_trace(model, oracle_n_mc, np.random.default_rng(oracle_seed))
+        return (np.count_nonzero(~segs.converged),
+                path_hit_counts(segs, probe_grid, [oracle_r1, 2 * oracle_r1]))
+
+    crit, (unconverged, counts) = map_indexed(lambda task: task(), (
         lambda: find_critical_points(model, model.box,
                                      model_flow_config(model).grad_tolerance),
-        lambda: path_hit_counts(
-            sample_and_trace(model, oracle_n_mc, np.random.default_rng(oracle_seed)),
-            probe_grid, [oracle_r1, 2 * oracle_r1])))
+        truth))
     excl = np.asarray([c.location for c in crit if c.kind in ("maximum", "saddle")],
                       dtype=float).reshape(-1, 2)
     # oracle_field's estimate, rounded as counts / (n r) rather than
@@ -251,7 +255,7 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
 
     slope, stderr, ci = _loglog_fit(rows)
     return RateTable(rows=rows, slope=slope, slope_stderr=stderr, ci95=ci,
-                     median_rows=median_rows,
+                     median_rows=median_rows, truth_unconverged=unconverged,
                      meta={"seed": seed, "oracle_n_mc": oracle_n_mc,
                            "oracle_r1": oracle_r1,
                            # default_bandwidths' constants and the exclusion

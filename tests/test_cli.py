@@ -438,6 +438,24 @@ def test_oracle_counts_paths_that_did_not_converge(two_gaussian_json, tmp_path,
                      capsys.readouterr().err)
 
 
+def test_converge_counts_truth_paths_that_did_not_converge(tmp_path, capsys,
+                                                           monkeypatch):
+    import pathdensity.oracle as oracle
+
+    flow_config = oracle.model_flow_config
+    monkeypatch.setattr(oracle, "model_flow_config", lambda model: dataclasses.replace(
+        flow_config(model), max_steps=2))
+    out = tmp_path / "c"
+    assert run("converge", "--model", "two-gaussian", "--n", "20,40", "--reps", "1",
+               "--probes", "4", "--oracle-n-mc", "30", "--seed", "1",
+               "--out", str(out)) == 0
+    assert re.search(r"warning: [1-9]\d* of 30 paths did not converge",
+                     capsys.readouterr().err)
+    # the count stays out of the golden-hashed summary
+    assert set(json.loads(read(out / "rate_summary.json"))["meta"]) == {
+        "seed", "oracle_n_mc", "oracle_r1", "c_h", "c_nu", "exclusion_factor"}
+
+
 def test_estimate_deterministic_across_worker_counts(pentagon_points, tmp_path,
                                                      monkeypatch):
     outs = []

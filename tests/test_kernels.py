@@ -7,6 +7,7 @@ from pathdensity.kernels import (_TILE, NORMALIZER, GaussianMixture,
                                  kde_density, kde_gradient)
 from pathdensity.model import (FilamentModel, cluster_model, random_pentagon_model,
                                two_gaussian_model)
+from pathdensity.parallel import map_indexed
 
 from conftest import fd_gradient, fd_hessian
 
@@ -277,6 +278,37 @@ def test_tiled_weight_sums_equal_the_untiled_block(make, n_nodes):
             assert len(got) == len(want) == (1, 3, 6)[order]
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("bufsize", [16, 8192, 65536])
+def test_tiled_weight_sums_do_not_depend_on_the_callers_ufunc_buffer(bufsize):
+    mixture = bench_pentagon_mixture()
+    rng = np.random.default_rng(bufsize)
+    pts = rng.uniform(0.0, 1.0, (200, 2))
+    pts[:20] = mixture.nodes[rng.integers(0, len(mixture.nodes), 20)]
+    with np.errstate():
+        np.setbufsize(bufsize)
+        got = mixture.weight_sums(pts, 2)
+        assert np.getbufsize() == bufsize
+    for a, b in zip(got, untiled_weight_sums(mixture, pts, 2)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_derivatives_leave_the_callers_ufunc_buffer_alone():
+    model = FilamentModel.from_dict(bench_pentagon_model_doc())
+    pts = np.random.default_rng(3).uniform(0.0, 1.0, (100, 2))
+    before = np.getbufsize()
+
+    def call(bufsize):
+        # each thread has its own setting: pool threads start at the default
+        with np.errstate():
+            np.setbufsize(bufsize)
+            model.derivatives(pts, 2)
+            return np.getbufsize()
+
+    assert call(65536) == 65536
+    assert map_indexed(call, [4096, 32768], workers=2) == [4096, 32768]
+    assert np.getbufsize() == before
 
 
 @pytest.mark.parametrize("make", [
