@@ -231,7 +231,7 @@ def cmd_simulate(args) -> int:
     if args.model_json is not None:
         model = _load_model(args)
         cloud = model.sample(args.n, np.random.default_rng(args.seed))
-        source = f"custom:{args.model_json}"
+        source = "custom"
     else:
         name = args.model if args.model is not None else "pentagon"
         model, cloud = _builtin_model(name, args.n, args.seed)
@@ -239,15 +239,7 @@ def cmd_simulate(args) -> int:
     out = _make_out(args)
     write_points_csv(out / "points.csv", cloud.points)
     doc = model.to_dict()
-    doc["meta"] = {
-        "builtin": source,
-        "seed": args.seed,
-        "n": args.n,
-        "notes": ("pentagon vertices drawn uniformly on the unit square and "
-                  "ordered by angle; per-side counts allocated by largest "
-                  "remainder; side weight density beta(1/2, 1/2) rescaled to "
-                  "each side length"),
-    }
+    doc["meta"] = {"builtin": source, "seed": args.seed, "n": args.n}
     with open(out / "model.json", "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
     print(f"wrote {out / 'points.csv'} ({cloud.n} rows) and {out / 'model.json'}")

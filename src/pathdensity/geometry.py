@@ -102,17 +102,12 @@ def polyline_self_intersects(vertices: np.ndarray) -> bool:
     Touching at shared endpoints (adjacent segments) does not count.
     """
     v = np.asarray(vertices, dtype=float)
-    n = len(v) - 1
-    if n < 3:
-        return False
     a, b = v[:-1], v[1:]
-    i, j = np.triu_indices(n, k=2)  # skip self and adjacent pairs
-    p1, p2 = a[i], b[i]
-    q1, q2 = a[j], b[j]
-    d1 = _orient(q1, q2, p1)
-    d2 = _orient(q1, q2, p2)
-    d3 = _orient(p1, p2, q1)
-    d4 = _orient(p1, p2, q2)
-    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-    return bool(proper.any())
-
+    # one segment against the later non-adjacent ones at a time: memory stays
+    # linear in the vertex count
+    for i in range(len(a) - 2):
+        q1, q2 = a[i + 2:], b[i + 2:]
+        if np.any((_orient(q1, q2, a[i]) * _orient(q1, q2, b[i]) < 0)
+                  & (_orient(a[i], b[i], q1) * _orient(a[i], b[i], q2) < 0)):
+            return True
+    return False

@@ -18,7 +18,7 @@ from .geometry import segment_distances
 from .grids import GridField, GridSpec
 from .model import FilamentModel
 from .parallel import map_indexed
-from .path_density import PathEnsemble, default_bandwidths, estimate_path_density
+from .path_density import PathEnsemble, default_bandwidths, path_density_field
 
 
 @dataclass(frozen=True)
@@ -217,22 +217,17 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
     seq = np.random.SeedSequence(seed)
     oracle_seed, *run_seeds = seq.spawn(1 + len(n_list) * replicates)
 
-    def truth():
+    def trace_truth():
         segs = sample_and_trace(model, oracle_n_mc, np.random.default_rng(oracle_seed))
         return (np.count_nonzero(~segs.converged),
-                path_hit_counts(segs, probe_grid, [oracle_r1, 2 * oracle_r1]))
+                oracle_field(segs, probe_grid, oracle_r1).values.ravel())
 
-    crit, (unconverged, counts) = map_indexed(lambda task: task(), (
+    crit, (unconverged, truth) = map_indexed(lambda task: task(), (
         lambda: find_critical_points(model, model.box,
                                      model_flow_config(model).grad_tolerance),
-        truth))
+        trace_truth))
     excl = np.asarray([c.location for c in crit if c.kind in ("maximum", "saddle")],
                       dtype=float).reshape(-1, 2)
-    # oracle_field's estimate, rounded as counts / (n r) rather than
-    # (counts / n) / r: through oracle_field, row 24 of `converge --seed 7`
-    # moves by an ulp
-    truth = np.maximum(2.0 * counts[0] / (oracle_n_mc * oracle_r1)
-                       - counts[1] / (oracle_n_mc * 2.0 * oracle_r1), 0.0)
 
     nodes = probe_grid.nodes()
     d_excl = np.min(np.hypot(nodes[:, 0][:, None] - excl[None, :, 0],
@@ -244,13 +239,15 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
         cloud = model.sample(n, np.random.default_rng(run_seeds[k]))
         bw = default_bandwidths(cloud.n, cloud.spread)
         ensemble = mean_shift_paths(cloud, bw.h, cloud.points)
-        return n, rep, bw.nu, estimate_path_density(ensemble, bw.nu, nodes)
+        # one worker: the runs already share the pool
+        est = path_density_field(ensemble, bw.nu, probe_grid, workers=1)
+        return n, rep, bw.nu, est.values.ravel()
 
     runs = map_indexed(run, range(len(run_seeds)))
     keep = d_excl > 2.0 * max(nu for _, _, nu, _ in runs)
-    rows = [(n, rep, float(np.max(np.abs(est[keep] - truth.ravel()[keep]))))
+    rows = [(n, rep, float(np.max(np.abs(est[keep] - truth[keep]))))
             for n, rep, _, est in runs]
-    median_rows = [(n, rep, float(np.median(np.abs(est[keep] - truth.ravel()[keep]))))
+    median_rows = [(n, rep, float(np.median(np.abs(est[keep] - truth[keep]))))
                    for n, rep, _, est in runs]
 
     slope, stderr, ci = _loglog_fit(rows)

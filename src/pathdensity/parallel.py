@@ -7,15 +7,21 @@ reassembled by chunk index, so outputs are identical for any worker count.
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 WORKERS_ENV = "PATHDENSITY_WORKERS"
 
 
 def worker_count(explicit: int | None = None) -> int:
     """`explicit` when given, else PATHDENSITY_WORKERS, else one per usable
-    CPU. The variable must hold an integer of at least 1; anything else is a
+    CPU. Either must be an integer of at least 1; anything else is a
     ValueError."""
     if explicit is not None:
-        return max(1, int(explicit))
+        if isinstance(explicit, bool) or not (
+                isinstance(explicit, (int, np.integer)) and explicit >= 1):
+            raise ValueError(f"workers must be an integer of at least 1, "
+                             f"not {explicit!r}")
+        return int(explicit)
     raw = os.environ.get(WORKERS_ENV)
     if raw is None:
         return len(os.sched_getaffinity(0))

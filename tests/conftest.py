@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,17 @@ def polyline_ensemble(polylines) -> PathEnsemble:
     times = np.arange(len(vertices), dtype=float) - np.repeat(offsets[:-1], counts)
     return PathEnsemble(vertices, offsets, times, np.ones(n, dtype=bool),
                         np.zeros(n, dtype=np.int64))
+
+
+def traced_peak_mb(fn, *args, **kwargs) -> float:
+    """Peak of the memory tracemalloc traces while fn(*args, **kwargs) runs,
+    in MB; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def convex_hull_contains(hull_points, query, tol: float = 0.0) -> np.ndarray:

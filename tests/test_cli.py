@@ -56,6 +56,21 @@ def test_simulate_deterministic(tmp_path):
     assert read(a / "model.json") == read(b / "model.json")
 
 
+def test_simulate_meta_names_only_the_model_seed_and_n(tmp_path, monkeypatch):
+    src = tmp_path / "src"
+    assert run("simulate", "--model", "two-gaussian", "--n", "10", "--seed", "1",
+               "--out", str(src)) == 0
+    meta = json.loads(read(src / "model.json"))["meta"]
+    assert meta == {"builtin": "two-gaussian", "seed": 1, "n": 10}
+    # the same model file by relative and absolute path: equal bytes
+    monkeypatch.chdir(tmp_path)
+    for name, path in (("rel", "src/model.json"), ("abs", str(src / "model.json"))):
+        assert run("simulate", "--model-json", path, "--n", "12", "--seed", "2",
+                   "--out", name) == 0
+    assert read(tmp_path / "rel" / "model.json") == read(tmp_path / "abs" / "model.json")
+    assert json.loads(read(tmp_path / "rel" / "model.json"))["meta"]["builtin"] == "custom"
+
+
 def test_simulate_unknown_model_exits_2(tmp_path):
     assert run("simulate", "--model", "hexagon", "--seed", "1",
                "--out", str(tmp_path)) == 2

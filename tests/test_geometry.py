@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathdensity.geometry import (Segments, polyline_arclength,
+from pathdensity.geometry import (Segments, _orient, polyline_arclength,
                                   polyline_self_intersects, segment_distances)
 
-from conftest import polyline_ensemble
+from conftest import polyline_ensemble, traced_peak_mb
 
 coord = st.floats(-50, 50, allow_nan=False)
 
@@ -76,3 +76,44 @@ def test_self_intersection_detected():
 def test_straight_line_not_flagged():
     line = np.column_stack([np.linspace(0, 1, 50), np.linspace(0, 2, 50)])
     assert not polyline_self_intersects(line)
+
+
+def all_pairs_self_intersects(vertices) -> bool:
+    """Reference crossing check: every non-adjacent segment pair at once."""
+    v = np.asarray(vertices, dtype=float)
+    n = len(v) - 1
+    if n < 3:
+        return False
+    a, b = v[:-1], v[1:]
+    i, j = np.triu_indices(n, k=2)  # skip self and adjacent pairs
+    p1, p2 = a[i], b[i]
+    q1, q2 = a[j], b[j]
+    d1 = _orient(q1, q2, p1)
+    d2 = _orient(q1, q2, p2)
+    d3 = _orient(p1, p2, q1)
+    d4 = _orient(p1, p2, q2)
+    return bool(((d1 * d2 < 0) & (d3 * d4 < 0)).any())
+
+
+def test_self_intersection_matches_the_all_pairs_check():
+    rng = np.random.default_rng(8)
+    flags = []
+    for k in range(3000):
+        v = rng.random((rng.integers(1, 12), 2))
+        if k % 3 == 0:  # collinear, touching and repeated vertices
+            v = np.round(4.0 * v) / 4.0
+        if k % 5 == 0:  # a closed ring
+            v = np.vstack([v, v[:1]])
+        flags.append(polyline_self_intersects(v))
+        assert flags[-1] == all_pairs_self_intersects(v)
+    assert 0 < sum(flags) < len(flags)
+
+
+def test_self_intersection_check_memory_is_linear_in_vertices():
+    # every segment pair at once would take about 245 MB at 2,000 vertices
+    x = np.linspace(0.0, 1.0, 2000)
+    zigzag = np.column_stack([x, 0.01 * (np.arange(2000) % 2)])
+    flag = []
+    peak = traced_peak_mb(lambda: flag.append(polyline_self_intersects(zigzag)))
+    assert flag == [False]
+    assert peak < 10.0

@@ -11,7 +11,7 @@ from pathdensity.oracle import (ball_hit_estimate, convergence_experiment,
                                 point_density_terms, sample_and_trace)
 from pathdensity.path_density import estimate_path_density
 
-from conftest import polyline_ensemble, saddle_four_sum
+from conftest import polyline_ensemble, saddle_four_sum, traced_peak_mb
 
 
 @pytest.fixture(scope="module")
@@ -289,3 +289,14 @@ def test_convergence_experiment_rows_and_determinism():
     med = a.median_by_n()
     assert set(med) == {100, 200}
     assert all(v >= 0 for v in med.values())
+
+
+def test_convergence_experiment_runs_in_bounded_memory():
+    # each run's estimate goes through path_density_field's fixed node
+    # chunks; one (probe nodes x paths) distance block per run would take
+    # about 180 MB here
+    model = two_gaussian_model()
+    probe = GridSpec.from_bounds(model.box, 60)
+    peak = traced_peak_mb(convergence_experiment, model, [100, 1600], 1, probe, 3,
+                          oracle_n_mc=200, oracle_r1=0.05)
+    assert peak < 40.0

@@ -47,6 +47,12 @@ def test_default_workers_are_one_per_usable_cpu(monkeypatch):
     assert worker_count(5) == 5
 
 
+@pytest.mark.parametrize("explicit", [0, -1, 2.5, True])
+def test_explicit_worker_count_must_be_an_integer_of_at_least_1(explicit):
+    with pytest.raises(ValueError, match="integer of at least 1"):
+        worker_count(explicit)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_map_indexed_returns_results_in_input_order(workers):
     # later items finish first, and the results still come back in order
