@@ -13,8 +13,7 @@ from .model import (Filament, FilamentModel, cluster_model,
 from .oracle import (MonteCarloEstimate, RateTable, ball_hit_estimate,
                      convergence_experiment, model_flow_config, oracle_field,
                      path_hit_counts, point_density_estimate, sample_and_trace)
-from .path_density import (AscentPath, BandwidthPlan, PathEnsemble,
-                           default_bandwidths, estimate_path_density,
-                           path_density_field)
+from .path_density import (BandwidthPlan, PathEnsemble, default_bandwidths,
+                           estimate_path_density, path_density_field)
 
 __version__ = "0.1.0"

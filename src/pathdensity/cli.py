@@ -58,7 +58,7 @@ def write_points_csv(path, points: np.ndarray):
 def read_points_csv(path) -> PointCloud:
     rows = []
     try:
-        f = open(path, "r", encoding="utf-8")
+        f = open(path, "r", encoding="utf-8-sig")  # a leading BOM is skipped
     except OSError as e:  # missing, a directory, unreadable
         raise UsageError(f"{path}: {e.strerror}")
     with f:
@@ -176,6 +176,18 @@ def _warn_unconverged(n: int, n_paths: int):
     if n:
         print(f"warning: {n} of {n_paths} paths did not converge "
               "(cut at max_steps or stalled)", file=sys.stderr)
+
+
+def _warn_outlier(cloud: PointCloud):
+    """One stderr line when the spread, which scales the bandwidths, exceeds
+    10 times the widest 1st-99th percentile range of a coordinate: then a few
+    far points set the default h, nu and grid bounds."""
+    lo, hi = np.percentile(cloud.points, [1, 99], axis=0)
+    core = float(np.max(hi - lo))
+    if cloud.spread > 10.0 * core:
+        print(f"warning: the data spread {cloud.spread:.4g} exceeds 10 times the "
+              f"widest 1st-99th percentile range {core:.4g}; far outliers set "
+              "the default bandwidths and bounds", file=sys.stderr)
 
 
 # -- commands -----------------------------------------------------------------
@@ -311,6 +323,7 @@ def cmd_estimate(args) -> int:
     if outside:
         raise UsageError(f"--bounds exclude {outside} of {cloud.n} data points")
     out = _make_out(args)
+    _warn_outlier(cloud)
 
     if args.tracer == "meanshift":
         paths = mean_shift_paths(cloud, h, cloud.points)

@@ -99,14 +99,24 @@ def _orient(a, b, c):
 def polyline_self_intersects(vertices: np.ndarray) -> bool:
     """True when any two non-adjacent segments of the polyline properly cross.
 
-    Touching at shared endpoints (adjacent segments) does not count.
+    Touching at shared endpoints (adjacent segments) does not count. Only
+    pairs whose bounding boxes overlap are tested: a proper crossing point
+    lies in both boxes, and the rounding of the orientations of two nearly
+    collinear segments that lie apart cannot then pass for a crossing.
     """
     v = np.asarray(vertices, dtype=float)
     a, b = v[:-1], v[1:]
+    xlo, xhi = np.minimum(a[:, 0], b[:, 0]), np.maximum(a[:, 0], b[:, 0])
+    ylo, yhi = np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1])
     # one segment against the later non-adjacent ones at a time: memory stays
     # linear in the vertex count
     for i in range(len(a) - 2):
-        q1, q2 = a[i + 2:], b[i + 2:]
+        j = i + 2
+        near = j + np.flatnonzero((xlo[j:] <= xhi[i]) & (xhi[j:] >= xlo[i])
+                                  & (ylo[j:] <= yhi[i]) & (yhi[j:] >= ylo[i]))
+        if len(near) == 0:  # the usual case along a smooth curve
+            continue
+        q1, q2 = a[near], b[near]
         if np.any((_orient(q1, q2, a[i]) * _orient(q1, q2, b[i]) < 0)
                   & (_orient(a[i], b[i], q1) * _orient(a[i], b[i], q2) < 0)):
             return True

@@ -332,27 +332,19 @@ def _largest_remainder_counts(total: int, proportions: np.ndarray) -> np.ndarray
 
 def random_pentagon_model(rng: np.random.Generator, n: int = 500,
                           background: bool = False):
-    """Five random vertices on the unit square joined into a simple pentagon
-    (100 draws at most); each side is a filament of noise scale 0.03 with an
-    endpoint-heavy beta(1/2, 1/2) weight.
+    """Five random vertices on the unit square, joined in the order of their
+    angle about the centroid into a simple pentagon; each side is a filament
+    of noise scale 0.03 with an endpoint-heavy beta(1/2, 1/2) weight.
 
     Points are split across sides proportionally to side length (each count
     within 1 of the exact share). With background=True, n uniform points on
     the square are appended and the mixture gets a 0.5 background weight.
     Returns (model, cloud).
     """
-    for _ in range(100):
-        verts = rng.random((5, 2))
-        centroid = verts.mean(axis=0)
-        order = np.argsort(np.arctan2(verts[:, 1] - centroid[1],
-                                      verts[:, 0] - centroid[0]))
-        ring = verts[order]
-        closed = np.vstack([ring, ring[:1]])
-        if not polyline_self_intersects(closed):
-            break
-    else:
-        raise RuntimeError("could not draw a simple pentagon")
-
+    verts = rng.random((5, 2))
+    centroid = verts.mean(axis=0)
+    ring = verts[np.argsort(np.arctan2(verts[:, 1] - centroid[1],
+                                       verts[:, 0] - centroid[0]))]
     edges = [(ring[i], ring[(i + 1) % 5]) for i in range(5)]
     filaments = [Filament.from_endpoints(a, b, 0.03, weight="beta",
                                          beta_a=0.5, beta_b=0.5)

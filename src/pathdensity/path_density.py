@@ -42,33 +42,6 @@ def default_bandwidths(n: int, spread: float, c_h: float = 0.125,
     return BandwidthPlan(h=float(h), nu=float(nu))
 
 
-@dataclass(frozen=True)
-class AscentPath:
-    """One path of a PathEnsemble; vertices and times are views of its arrays.
-
-    times holds the accumulated flow time per vertex (iteration index for
-    mean-shift paths). trim_hint is the first vertex whose field value has
-    gained a configured fraction of the path's total value gain.
-    """
-
-    vertices: np.ndarray
-    times: np.ndarray
-    converged: bool
-    trim_hint: int
-
-    @property
-    def step_count(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.vertices[-1]
-
-
 _PAIR_BLOCK = 65_536  # pairs; four (m, s) float temporaries fit a 2 MB L2 cache
 
 
@@ -80,6 +53,9 @@ class PathEnsemble:
     and `trim_hint`. Its segments are entries offsets[i]:offsets[i + 1] of
     seg_a, the row in `vertices` where each segment starts; a segment ends
     at the next vertex, or at its start when the path has a single vertex.
+    `times` holds the flow time at each vertex (the iteration index for
+    mean-shift paths); trim_hint[i] is the first vertex of path i whose field
+    value has gained a set fraction of the path's total gain.
     """
 
     def __init__(self, vertices, vertex_offsets, times, converged, trim_hint):
@@ -100,11 +76,18 @@ class PathEnsemble:
     def n_paths(self) -> int:
         return len(self.vertex_offsets) - 1
 
-    def __getitem__(self, i) -> AscentPath:
+    @property
+    def step_count(self) -> int:
+        """Each path's vertices less one, summed over the paths."""
+        return len(self.vertices) - self.n_paths
+
+    def __getitem__(self, i) -> "PathEnsemble":
+        """Path i as an ensemble of one path, on views of this one's arrays."""
         i = range(self.n_paths)[i]
         lo, hi = self.vertex_offsets[i], self.vertex_offsets[i + 1]
-        return AscentPath(self.vertices[lo:hi], self.times[lo:hi],
-                          bool(self.converged[i]), int(self.trim_hint[i]))
+        return PathEnsemble(self.vertices[lo:hi], np.array([0, hi - lo]),
+                            self.times[lo:hi], self.converged[i:i + 1],
+                            self.trim_hint[i:i + 1])
 
     def trim_drop(self, trims) -> np.ndarray:
         """How many leading vertices each path drops when trimmed by trims[i]

@@ -108,9 +108,9 @@ def test_criterion_1_quadratic_flow():
     cfg = FlowConfig(step_scale=0.5, grad_tolerance=1e-7,
                      min_displacement=1e-12, max_time_step=0.1)
     paths = trace_ascent_paths(field, starts, cfg)
-    worst_end = max(np.hypot(*p.end) for p in paths)
+    worst_end = max(np.hypot(*p.vertices[-1]) for p in paths)
     worst_vertex = max(
-        np.max(np.hypot(*(p.vertices - p.start[None, :]
+        np.max(np.hypot(*(p.vertices - p.vertices[:1]
                           * np.exp(-p.times)[:, None]).T))
         for p in paths)
     assert worst_end < 1e-6

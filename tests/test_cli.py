@@ -71,6 +71,13 @@ def test_simulate_meta_names_only_the_model_seed_and_n(tmp_path, monkeypatch):
     assert json.loads(read(tmp_path / "rel" / "model.json"))["meta"]["builtin"] == "custom"
 
 
+def test_simulate_pentagon_with_a_long_straight_side_exits_0(tmp_path):
+    # seed 26's fifth side was refused as self-intersecting, with a traceback
+    assert run("simulate", "--model", "pentagon", "--seed", "26", "--n", "100",
+               "--out", str(tmp_path)) == 0
+    assert len((tmp_path / "points.csv").read_text().splitlines()) == 101
+
+
 def test_simulate_unknown_model_exits_2(tmp_path):
     assert run("simulate", "--model", "hexagon", "--seed", "1",
                "--out", str(tmp_path)) == 2
@@ -297,6 +304,20 @@ def test_non_utf8_points_file_exits_3(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_points_file_with_a_byte_order_mark_gives_the_same_outputs(
+        pentagon_points, tmp_path):
+    # spreadsheet exports often start with a UTF-8 BOM and end lines in CRLF
+    crlf = (pentagon_points / "points.csv").read_bytes().replace(b"\n", b"\r\n")
+    (tmp_path / "plain.csv").write_bytes(crlf)
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + crlf)
+    for name in ("plain", "bom"):
+        assert run("estimate", "--points", str(tmp_path / f"{name}.csv"),
+                   "--grid", "16", "--out", str(tmp_path / name)) == 0
+    for f in ("paths.csv", "field.csv", "levelset.csv", "figure.svg",
+              "estimate.json"):
+        assert read(tmp_path / "bom" / f) == read(tmp_path / "plain" / f)
+
+
 @pytest.mark.parametrize("argv, name", [
     (["estimate", "--points"], "nope.csv"),
     (["estimate", "--points"], "."),
@@ -438,6 +459,29 @@ def test_estimate_counts_paths_that_did_not_converge(tmp_path, capsys,
         assert warned == []
     else:
         assert len(warned) == 1 and int(warned[0]) > 0
+
+
+@pytest.mark.parametrize("outlier", [True, False], ids=["outlier", "golden"])
+def test_estimate_flags_a_far_outlier_that_sets_the_bandwidths(tmp_path, capsys,
+                                                               outlier):
+    if outlier:  # one point sets the spread, and so h and nu
+        rng = np.random.default_rng(0)
+        points = np.vstack([rng.random((300, 2)), [[1e6, 1e6]]])
+        csv = tmp_path / "points.csv"
+        np.savetxt(csv, points, delimiter=",", header="x,y", comments="")
+    else:  # the input of the golden estimate runs
+        assert run("simulate", "--model", "pentagon", "--n", "150", "--seed", "7",
+                   "--out", str(tmp_path / "sim")) == 0
+        csv = tmp_path / "sim" / "points.csv"
+    capsys.readouterr()
+    assert run("estimate", "--points", str(csv), "--grid", "40",
+               "--out", str(tmp_path / "o")) == 0
+    warned = [s for s in capsys.readouterr().err.splitlines()
+              if s.startswith("warning:")]
+    if outlier:
+        assert len(warned) == 1 and "far outliers" in warned[0]
+    else:
+        assert warned == []
 
 
 def test_oracle_counts_paths_that_did_not_converge(two_gaussian_json, tmp_path,

@@ -13,6 +13,7 @@ from pathdensity.flow import (TRIM_FRACTION, FlowConfig, FlowNumericalError,
 from pathdensity.kernels import KernelDensityField, PointCloud
 from pathdensity.model import cluster_model, random_pentagon_model, two_gaussian_model
 from pathdensity.oracle import model_flow_config
+from pathdensity.path_density import PathEnsemble
 
 from conftest import QuadraticPeakField, convex_hull_contains
 
@@ -28,8 +29,8 @@ def test_quadratic_flow_matches_closed_form():
     starts = rng.uniform(-8, 8, (5, 2))
     for p in trace_ascent_paths(field, starts, QUAD_CFG):
         assert p.converged
-        assert np.hypot(*p.end) < 1e-6
-        expected = p.start[None, :] * np.exp(-p.times)[:, None]
+        assert np.hypot(*p.vertices[-1]) < 1e-6
+        expected = p.vertices[:1] * np.exp(-p.times)[:, None]
         assert np.max(np.hypot(*(p.vertices - expected).T)) < 1e-5
 
 
@@ -42,7 +43,7 @@ def test_start_at_mode_gives_single_vertex():
 
 def test_retrace_from_endpoint_is_idempotent():
     p = trace_ascent_paths(QuadraticPeakField(), [[2.0, -1.0]], QUAD_CFG)[0]
-    again = trace_ascent_paths(QuadraticPeakField(), [p.end], QUAD_CFG)[0]
+    again = trace_ascent_paths(QuadraticPeakField(), [p.vertices[-1]], QUAD_CFG)[0]
     assert len(again.vertices) == 1
 
 
@@ -76,6 +77,39 @@ def test_trim_hint_marks_early_transient():
     assert vals[p.trim_hint - 1] - vals[0] < 0.1 * gain
 
 
+def test_indexing_gives_a_one_path_ensemble_of_views():
+    # a start at the mode traces one vertex; the others are cut at max_steps
+    starts = np.array([[3.0, -2.0], [0.0, 0.0], [-1.0, 4.0]])
+    ens = trace_ascent_paths(QuadraticPeakField(), starts,
+                             replace(QUAD_CFG, max_steps=5))
+    np.testing.assert_array_equal(ens.converged, [False, True, False])
+    x = np.array([[0.5, -0.5], [3.0, 1.0], [-2.0, 2.0], [0.0, 0.0]])
+    d = ens.distances(x)
+    off = ens.vertex_offsets
+    for i in range(ens.n_paths):
+        p = ens[i]
+        assert isinstance(p, PathEnsemble) and p.n_paths == 1
+        assert np.shares_memory(p.vertices, ens.vertices)
+        np.testing.assert_array_equal(p.vertices, ens.vertices[off[i]:off[i + 1]])
+        np.testing.assert_array_equal(p.times, ens.times[off[i]:off[i + 1]])
+        np.testing.assert_array_equal(p.converged, ens.converged[i:i + 1])
+        np.testing.assert_array_equal(p.trim_hint, ens.trim_hint[i:i + 1])
+        np.testing.assert_array_equal(p.distances(x)[:, 0], d[:, i])
+    assert len(ens[1].vertices) == 1 and len(ens[0].vertices) == 6
+    np.testing.assert_array_equal(ens[-1].vertices, ens.vertices[off[-2]:])
+    with pytest.raises(IndexError):
+        ens[ens.n_paths]
+
+
+def test_path_counts_summed_over_one_path_ensembles(small_cloud):
+    # the expressions perfbench/tracer.py counts mean-shift work with
+    ens = mean_shift_paths(small_cloud, 0.3, small_cloud.points, max_steps=4)
+    assert 0 < np.count_nonzero(~ens.converged) < ens.n_paths
+    assert ens.step_count == len(ens.vertices) - ens.n_paths
+    assert sum(p.step_count for p in ens) == ens.step_count
+    assert sum(not p.converged for p in ens) == np.count_nonzero(~ens.converged)
+
+
 def test_a_path_that_cannot_ascend_stalls_alone():
     # right of the y axis the gradient points away from the peak, so every
     # trial step there lowers the value; those paths stop at their start,
@@ -106,7 +140,7 @@ def test_segment_mode_matches_path_mode():
     assert segs.n_paths == 3
     last = segs.segments.part(segs.offsets[1:] - 1)
     np.testing.assert_allclose(np.column_stack([last.ax + last.dx, last.ay + last.dy]),
-                               [p.end for p in segs], atol=1e-12)
+                               [p.vertices[-1] for p in segs], atol=1e-12)
     # per-path segment counts agree with vertex counts (degenerate path keeps 1)
     counts = np.diff(segs.offsets)
     assert counts[2] == 1
@@ -274,7 +308,7 @@ def test_mean_shift_and_flow_reach_the_same_mode():
     for x0 in cloud.points[[3, 40, 77]]:
         ms = mean_shift_paths(cloud, h, [x0], min_displacement=1e-10)[0]
         ode = trace_ascent_paths(field, [x0], cfg)[0]
-        assert np.hypot(*(ms.end - ode.end)) < 1e-3 * h
+        assert np.hypot(*(ms.vertices[-1] - ode.vertices[-1])) < 1e-3 * h
 
 
 @pytest.mark.parametrize("tracer", ["meanshift", "flow"])

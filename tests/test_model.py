@@ -37,6 +37,16 @@ def test_self_intersecting_filament_rejected():
         Filament(bowtie, sigma=0.05)
 
 
+def test_long_straight_filament_is_not_refused():
+    # pentagon seed 26's fifth side: rounding leaves the densified vertices
+    # off the line, and two segments of it far apart had orientations of
+    # +-1.4e-20, which passed for a crossing
+    a = [0.06760775819232612, 0.7128582038821137]
+    b = [0.4915989176049045, 0.23439952394791652]
+    f = Filament.from_endpoints(a, b, 0.03, weight="beta")
+    assert len(f.vertices) == 683
+
+
 def test_weight_density_integrates_to_one():
     # the beta weight is exact by its CDF; check the pdf/ppf pairing instead
     f = unit_filament(weight="beta")
@@ -271,6 +281,12 @@ def test_pentagon_ring_is_simple():
         ring = np.array([f.vertices[0] for f in model.filaments])
         closed = np.vstack([ring, ring[:1]])
         assert not polyline_self_intersects(closed)
+
+
+@pytest.mark.parametrize("seed", [26, 113, 214, 258, 295, 504])
+def test_pentagon_with_a_long_straight_side_builds(seed):
+    model, cloud = random_pentagon_model(np.random.default_rng(seed), n=10)
+    assert len(model.filaments) == 5 and cloud.n == 10
 
 
 def test_pentagon_critical_points_inside_hull():

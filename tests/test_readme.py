@@ -25,6 +25,7 @@ def test_library_sketch_runs_and_gives_a_grid_mask(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     ns = {}
     exec(compile(sketch(), str(README), "exec"), ns)
+    assert ns["first"].n_paths == 1
     spec = ns["field"].spec
     assert isinstance(ns["mask"], np.ndarray)
     assert ns["mask"].dtype == bool
