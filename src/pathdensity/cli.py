@@ -27,7 +27,8 @@ from .model import FilamentModel, random_pentagon_model, two_gaussian_model
 from .oracle import (convergence_experiment, default_r1, model_flow_config,
                      oracle_field)
 from .parallel import map_indexed, worker_count
-from .path_density import PathEnsemble, default_bandwidths, path_density_field
+from .path_density import (SIMPLIFY_TOLERANCE, PathEnsemble, default_bandwidths,
+                           path_density_field)
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -331,6 +332,10 @@ def cmd_estimate(args) -> int:
         paths = trace_ascent_paths(KernelDensityField(cloud, h), cloud.points,
                                    kde_flow_config(cloud, h))
     _warn_unconverged(np.count_nonzero(~paths.converged), paths.n_paths)
+    if trim is not None:  # --trim counts iterates, not kept vertices
+        paths.trim_hint = paths.trim_drop(trim)
+    # raster, write and draw the same copy: paths.csv must give field.csv
+    paths = paths.simplified(SIMPLIFY_TOLERANCE * nu)
 
     fld = path_density_field(paths, nu, grid, workers=workers)
     lam = quantile_threshold(fld, cloud, args.quantile)
@@ -339,10 +344,7 @@ def cmd_estimate(args) -> int:
     write_paths_csv(out / "paths.csv", paths)
     write_field_csv(out / "field.csv", fld)
     write_mask_csv(out / "levelset.csv", mask, grid)
-    svg = render_four_panel_svg(
-        cloud.points, paths, paths.trim_hint if trim is None else trim,
-        mask, grid,
-    )
+    svg = render_four_panel_svg(cloud.points, paths, paths.trim_hint, mask, grid)
     with open(out / "figure.svg", "w", encoding="utf-8") as f:
         f.write(svg)
     with open(out / "estimate.json", "w", encoding="utf-8") as f:

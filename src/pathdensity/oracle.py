@@ -18,7 +18,8 @@ from .geometry import segment_distances
 from .grids import GridField, GridSpec
 from .model import FilamentModel
 from .parallel import map_indexed
-from .path_density import PathEnsemble, default_bandwidths, path_density_field
+from .path_density import (SIMPLIFY_TOLERANCE, PathEnsemble, default_bandwidths,
+                           path_density_field)
 
 
 @dataclass(frozen=True)
@@ -205,9 +206,10 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
                            oracle_r1: float = 0.02) -> RateTable:
     """Sup-norm error of the estimator against the Monte-Carlo truth.
 
-    For each sample size and replicate: draw, trace mean-shift paths, estimate
-    on the probe grid with the default rate-optimal bandwidths, and take the
-    sup of |estimate - truth| over the kept probes. The probe set is fixed
+    For each sample size and replicate: draw, trace mean-shift paths and
+    simplify them at SIMPLIFY_TOLERANCE nu as `estimate` does, estimate on the
+    probe grid with the default rate-optimal bandwidths, and take the sup of
+    |estimate - truth| over the kept probes. The probe set is fixed
     across the whole sweep: probes within twice the largest nu of the sweep
     of any true maximum or saddle are dropped (a per-run exclusion would
     expose more of the near-mode divergence as n grows and mask the decay).
@@ -238,7 +240,8 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
         n, rep = int(n_list[k // replicates]), k % replicates
         cloud = model.sample(n, np.random.default_rng(run_seeds[k]))
         bw = default_bandwidths(cloud.n, cloud.spread)
-        ensemble = mean_shift_paths(cloud, bw.h, cloud.points)
+        ensemble = mean_shift_paths(cloud, bw.h, cloud.points).simplified(
+            SIMPLIFY_TOLERANCE * bw.nu)
         # one worker: the runs already share the pool
         est = path_density_field(ensemble, bw.nu, probe_grid, workers=1)
         return n, rep, bw.nu, est.values.ravel()

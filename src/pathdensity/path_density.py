@@ -42,6 +42,10 @@ def default_bandwidths(n: int, spread: float, c_h: float = 0.125,
     return BandwidthPlan(h=float(h), nu=float(nu))
 
 
+# Douglas-Peucker tolerance of the paths that estimate and converge raster,
+# in units of nu: the path density moves by at most 6.1e-4 of its peak 1 / nu
+SIMPLIFY_TOLERANCE = 1e-3
+
 _PAIR_BLOCK = 65_536  # pairs; four (m, s) float temporaries fit a 2 MB L2 cache
 
 
@@ -53,9 +57,11 @@ class PathEnsemble:
     and `trim_hint`. Its segments are entries offsets[i]:offsets[i + 1] of
     seg_a, the row in `vertices` where each segment starts; a segment ends
     at the next vertex, or at its start when the path has a single vertex.
-    `times` holds the flow time at each vertex (the iteration index for
-    mean-shift paths); trim_hint[i] is the first vertex of path i whose field
-    value has gained a set fraction of the path's total gain.
+    Both segment arrays are built on first use. `times` holds the flow time
+    at each vertex (the iteration index for mean-shift paths); trim_hint[i]
+    is the vertex where path i's trimmed copy starts, as traced the first
+    vertex whose field value has gained a set fraction of the path's total
+    gain.
     """
 
     def __init__(self, vertices, vertex_offsets, times, converged, trim_hint):
@@ -66,11 +72,18 @@ class PathEnsemble:
         self.times = times
         self.converged = converged
         self.trim_hint = trim_hint
-        counts = np.diff(vertex_offsets)
-        starts = np.ones(len(vertices), dtype=bool)
-        starts[vertex_offsets[1:] - 1] = counts == 1
-        self.seg_a = np.flatnonzero(starts)
-        self.offsets = np.concatenate([[0], np.cumsum(np.maximum(counts - 1, 1))])
+
+    @cached_property
+    def seg_a(self) -> np.ndarray:
+        counts = np.diff(self.vertex_offsets)
+        starts = np.ones(len(self.vertices), dtype=bool)
+        starts[self.vertex_offsets[1:] - 1] = counts == 1
+        return np.flatnonzero(starts)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        counts = np.diff(self.vertex_offsets)
+        return np.concatenate([[0], np.cumsum(np.maximum(counts - 1, 1))])
 
     @property
     def n_paths(self) -> int:
@@ -94,6 +107,51 @@ class PathEnsemble:
         (a scalar trims every path alike): each path keeps at least its last
         vertex."""
         return np.clip(trims, 0, np.diff(self.vertex_offsets) - 1)
+
+    def simplified(self, eps: float) -> "PathEnsemble":
+        """A Douglas-Peucker copy: every path keeps its first and last vertex,
+        and each interval between kept vertices is split at its vertex
+        farthest from the chord segment across it until no vertex lies more
+        than eps from its chord. All open intervals split in one pass per
+        round. The copy keeps the rows of `vertices` and `times` it keeps,
+        `converged`, and moves each trim hint to the first kept vertex at or
+        after it.
+
+        Each path and its copy then lie within Hausdorff distance eps of each
+        other, so a path distance moves by at most eps and the path density
+        by at most exp(-1/2) eps / nu^2.
+        """
+        if not 0 <= eps < np.inf:
+            raise ValueError(f"tolerance must be finite and nonnegative, not {eps!r}")
+        v = self.vertices
+        first, last = self.vertex_offsets[:-1], self.vertex_offsets[1:] - 1
+        keep = np.zeros(len(v), dtype=bool)
+        keep[first] = keep[last] = True
+        lo, hi = first, last
+        while True:
+            wide = hi - lo > 1
+            lo, hi = lo[wide], hi[wide]
+            if len(lo) == 0:
+                break
+            inner = hi - lo - 1
+            at = np.cumsum(inner) - inner  # each interval's first inner row
+            interval = np.repeat(np.arange(len(lo)), inner)
+            idx = np.arange(len(interval)) + np.repeat(lo + 1 - at, inner)
+            chords = Segments.between(v[lo], v[hi]).part(interval)
+            d2 = segment_distances(v[idx], chords, squared=True)
+            far = np.maximum.reduceat(d2, at)
+            # the first vertex at each interval's largest distance
+            split = np.minimum.reduceat(
+                np.where(d2 == far[interval], idx, len(v)), at)
+            cut = far > eps * eps
+            keep[split[cut]] = True
+            lo = np.concatenate([lo[cut], split[cut]])
+            hi = np.concatenate([split[cut], hi[cut]])
+        rows = np.flatnonzero(keep)
+        before = np.concatenate([[0], np.cumsum(keep)])  # kept rows before each row
+        offsets = before[self.vertex_offsets]
+        return PathEnsemble(v[rows], offsets, self.times[rows], self.converged,
+                            before[first + self.trim_hint] - offsets[:-1])
 
     def segment_block(self, lo: int, hi: int) -> tuple[Segments, np.ndarray]:
         """Segments lo:hi, gathered from `vertices`, and the path of each."""

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathdensity.cli import DataError, main, read_points_csv
+from pathdensity.flow import mean_shift_paths
+from pathdensity.path_density import SIMPLIFY_TOLERANCE
 
 
 def run(*argv):
@@ -181,14 +183,17 @@ def test_estimate_quantile_flag(pentagon_points, tmp_path):
     assert lam == pytest.approx(meta["level"], rel=1e-12)
 
 
-def _panel_polyline_starts(svg_text, panel_index):
+def _panel_polylines(svg_text, panel_index):
+    """The point strings of each polyline in one panel of the figure."""
     root = ET.fromstring(svg_text)
     ns = {"s": "http://www.w3.org/2000/svg"}
     groups = root.findall("s:g", ns)
-    starts = []
-    for pl in groups[panel_index].findall("s:polyline", ns):
-        starts.append(pl.attrib["points"].split(" ")[0])
-    return starts
+    return [pl.attrib["points"].split(" ")
+            for pl in groups[panel_index].findall("s:polyline", ns)]
+
+
+def _panel_polyline_starts(svg_text, panel_index):
+    return [points[0] for points in _panel_polylines(svg_text, panel_index)]
 
 
 def test_estimate_trim_flag_changes_panel_c(pentagon_points, tmp_path):
@@ -205,6 +210,35 @@ def test_estimate_trim_flag_changes_panel_c(pentagon_points, tmp_path):
     c_starts = _panel_polyline_starts(svg3, 2)
     assert b_starts != c_starts
     assert _panel_polyline_starts(svg0, 2) == _panel_polyline_starts(svg0, 1)
+
+
+def test_trim_counts_iterates_of_the_simplified_paths(pentagon_points, tmp_path):
+    # --trim 3 drops the first 3 iterates: panel C starts each path at its
+    # first kept vertex at or after iterate 3
+    out = tmp_path / "t3"
+    assert run("estimate", "--points", str(pentagon_points / "points.csv"),
+               "--out", str(out), "--grid", "30", "--trim", "3") == 0
+    meta = json.loads((out / "estimate.json").read_text())
+    cloud = read_points_csv(pentagon_points / "points.csv")
+    paths = mean_shift_paths(cloud, meta["h"], cloud.points).simplified(
+        SIMPLIFY_TOLERANCE * meta["nu"])
+    rows = (out / "paths.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(paths.vertices)
+    svg = (out / "figure.svg").read_text()
+    whole = iter(_panel_polylines(svg, 1))
+    expected, moved = [], 0
+    for path in paths:
+        iterate = path.times  # the iterate number of each kept vertex
+        if len(iterate) < 2:
+            continue
+        line = next(whole)
+        assert len(line) == len(iterate)
+        k = min(np.searchsorted(iterate, 3), len(iterate) - 1)
+        moved += iterate[k] != 3
+        if len(iterate) - k >= 2:
+            expected.append(line[k:])
+    assert moved > 0  # some paths kept no vertex at iterate 3
+    assert _panel_polylines(svg, 2) == expected
 
 
 def test_estimate_malformed_csv_exits_3_with_line(tmp_path, capsys):

@@ -23,23 +23,23 @@ ESTIMATE_FILES = ("paths.csv", "field.csv", "levelset.csv", "figure.svg")
 GOLDEN = {
     "estimate-meanshift": {
         "paths.csv":
-            "697cab41827472a82077476ed03341568992aae1227b83652c7eb9535eb16f7d",
+            "6527591c9733b53c484eb0c7990d3d01f4d737822d1a31b77dec82d7499a2f3e",
         "field.csv":
-            "6f7b5292d2270cee2bfb4103a1ddf7942b5007b580688e78f74bb65ccabac0a7",
+            "506ccf6edeb15d226dcfaa0346c0b32d96822f1590f885751955a197f7e712a8",
         "levelset.csv":
             "0ffef3133244b585194d384aa3ddf77473af79411357771dffb809071eb5b728",
         "figure.svg":
-            "30897929fdf6a1b163a49cafe7c4a44b9af164d48819dfc4f6e6cb00be4c2edc",
+            "e9834ae732793bac29ad093c138301dfe275786bae76dc3d06e5f58b0c231a38",
     },
     "estimate-flow": {
         "paths.csv":
-            "25ad1398aa9f16fc3cd9d7bcbdd4ad02b8d56a64aaeaf35bce89f5ba5e3d054d",
+            "61c3d67d36cada776489e224373792a3ccfe22a11bcb7e5104b510fcefafd417",
         "field.csv":
-            "2d1147984c9fe410778c6ea8d71f87f227716cb1aff7aef48b7e1d013e92ffaa",
+            "a9b186e89649be8f8494132fbbf82cc4d30ca574196c71b85569e53bec3f09a5",
         "levelset.csv":
             "0ffef3133244b585194d384aa3ddf77473af79411357771dffb809071eb5b728",
         "figure.svg":
-            "d9624a4499e053b8c2ee55e49deb86882cb2421d7ddce364f3626ec71b7c266e",
+            "ca99c808d0f515b8eefdc8fe762b2b4e6b504318e342b5ce1b8ee7c5d413174e",
     },
     "oracle": {
         "oracle_field.csv":
@@ -56,9 +56,9 @@ GOLDEN = {
     },
     "converge": {
         "rate_table.csv":
-            "0b1454f3a70b058ac4fb894032255d23b0281c38ac9bd37bd386d14383616227",
+            "5ad80019ce031bea2175d1575e5c831ecfba971f5b7eaaa24e8d7415ecbdbd6c",
         "rate_summary.json":
-            "6a7d11ea1b90cf621a8e63dabcbf2ab38b74488aad8be817ad2308dad76b028f",
+            "da4293e67cd6f5bc42be81c91003edaf8fe74c8bb56e8dea3537985f13ae13ac",
     },
 }
 

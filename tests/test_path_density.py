@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathdensity import path_density
+from pathdensity.flow import mean_shift_paths
 from pathdensity.geometry import Segments, segment_distances
 from pathdensity.grids import GridSpec
 from pathdensity.kernels import gaussian
-from pathdensity.path_density import (BandwidthPlan, default_bandwidths,
+from pathdensity.model import random_pentagon_model
+from pathdensity.path_density import (BandwidthPlan, PathEnsemble,
+                                      default_bandwidths,
                                       estimate_path_density,
                                       path_density_field)
 
@@ -75,6 +78,90 @@ def test_distances_equal_per_path_min_of_segment_distances(paths, data, block):
         mp.setattr(path_density, "_PAIR_BLOCK", block)
         got = polyline_ensemble(paths).distances(pts)
     assert np.array_equal(got, expected)
+
+
+# -- Douglas-Peucker copy -----------------------------------------------------
+
+def max_vertex_distance2(original: PathEnsemble, simple: PathEnsemble):
+    """Per path, the largest squared distance from an original vertex to the
+    simplified polyline."""
+    out = []
+    for i in range(original.n_paths):
+        segs = simple[i].segments
+        out.append(segment_distances(original[i].vertices[:, None], segs,
+                                     squared=True).min(axis=1).max())
+    return np.array(out)
+
+
+def check_simplified(ens: PathEnsemble, eps: float) -> PathEnsemble:
+    """The copy's contract, path by path; returns the copy."""
+    simple = ens.simplified(eps)
+    assert simple.n_paths == ens.n_paths
+    assert np.all(max_vertex_distance2(ens, simple) <= eps * eps)
+    assert simple.converged is ens.converged
+    for i in range(ens.n_paths):
+        p, q = ens[i], simple[i]
+        # kept rows: a subsequence of the path that keeps both ends
+        rows = np.searchsorted(p.times, q.times)
+        assert np.all(np.diff(rows) > 0)
+        np.testing.assert_array_equal(p.times[rows], q.times)
+        np.testing.assert_array_equal(p.vertices[rows], q.vertices)
+        assert rows[0] == 0 and rows[-1] == len(p.times) - 1
+        # the hint moves to the first kept vertex at or after it
+        assert q.trim_hint[0] == np.searchsorted(rows, p.trim_hint[0])
+    return simple
+
+
+# coarse coordinates give collinear runs, repeated vertices and closed paths
+@settings(max_examples=200, deadline=None)
+@given(paths=st.lists(st.lists(vertex, min_size=1, max_size=12), min_size=1,
+                      max_size=6),
+       eps=st.sampled_from([0.0, 1e-3, 0.3, 1.0, 5.0]), data=st.data())
+def test_simplified_keeps_every_vertex_within_eps(paths, eps, data):
+    ens = polyline_ensemble(paths)
+    ens.trim_hint = np.array([data.draw(st.integers(0, len(p) - 1)) for p in paths])
+    simple = check_simplified(ens, eps)
+    # a second pass at the same tolerance keeps every vertex
+    again = simple.simplified(eps)
+    for name in ("vertices", "vertex_offsets", "times", "trim_hint"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(simple, name))
+
+
+@pytest.mark.parametrize("path, kept", [
+    ([[0.0, 0.0]], 1),
+    ([[0.0, 0.0], [0.0, 0.0]], 2),
+    ([[0.0, 0.0], [1.0, 0.0]], 2),
+    ([[0.0, 0.0]] * 4, 2),  # zero-length chords
+    ([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], 2),
+    ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]], 5),
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], 3),  # closed, out and back
+], ids=["one", "repeated-two", "two", "repeated", "collinear", "square",
+        "out-and-back"])
+def test_simplified_small_paths(path, kept):
+    simple = check_simplified(polyline_ensemble([path]), 0.1)
+    assert len(simple.vertices) == kept
+
+
+def test_simplified_refuses_a_bad_tolerance():
+    for eps in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            polyline_ensemble([[[0.0, 0.0]]]).simplified(eps)
+
+
+@pytest.mark.parametrize("c", [path_density.SIMPLIFY_TOLERANCE, 0.1])
+def test_simplified_field_moves_within_bound(c):
+    # a path distance moves by at most eps, so the field by at most
+    # max |K'| eps / nu^2 = exp(-1/2) eps / nu^2 at every node
+    _, cloud = random_pentagon_model(np.random.default_rng(4), n=300)
+    bw = default_bandwidths(cloud.n, cloud.spread)
+    ens = mean_shift_paths(cloud, bw.h, cloud.points)
+    eps = c * bw.nu
+    simple = check_simplified(ens, eps)
+    assert len(simple.vertices) < len(ens.vertices)
+    grid = GridSpec(0.0, 1.0, 0.0, 1.0, 40, 40)
+    change = (path_density_field(simple, bw.nu, grid).values
+              - path_density_field(ens, bw.nu, grid).values)
+    assert np.max(np.abs(change)) <= np.exp(-0.5) * eps / bw.nu**2
 
 
 # -- estimator ----------------------------------------------------------------
