@@ -27,8 +27,8 @@ from .model import FilamentModel, random_pentagon_model, two_gaussian_model
 from .oracle import (convergence_experiment, default_r1, model_flow_config,
                      oracle_field)
 from .parallel import map_indexed, worker_count
-from .path_density import (SIMPLIFY_TOLERANCE, PathEnsemble, default_bandwidths,
-                           path_density_field)
+from .path_density import (C_H, C_NU, SIMPLIFY_TOLERANCE, PathEnsemble,
+                           default_bandwidths, path_density_field)
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -294,8 +294,6 @@ def cmd_estimate(args) -> int:
             raise UsageError("--trim must be nonnegative")
     if args.tracer not in ("meanshift", "flow"):
         raise UsageError(f"unknown tracer {args.tracer!r}")
-    if args.workers is not None and args.workers < 1:
-        raise UsageError("--workers must be at least 1")
     workers = _workers(args.workers)
     _check_positive("--c-h", args.c_h)
     _check_positive("--c-nu", args.c_nu)
@@ -332,8 +330,8 @@ def cmd_estimate(args) -> int:
         paths = trace_ascent_paths(KernelDensityField(cloud, h), cloud.points,
                                    kde_flow_config(cloud, h))
     _warn_unconverged(np.count_nonzero(~paths.converged), paths.n_paths)
-    if trim is not None:  # --trim counts iterates, not kept vertices
-        paths.trim_hint = paths.trim_drop(trim)
+    if trim is not None:  # --trim counts iterates; each path keeps its last vertex
+        paths.trim_hint = np.minimum(trim, np.diff(paths.vertex_offsets) - 1)
     # raster, write and draw the same copy: paths.csv must give field.csv
     paths = paths.simplified(SIMPLIFY_TOLERANCE * nu)
 
@@ -344,7 +342,7 @@ def cmd_estimate(args) -> int:
     write_paths_csv(out / "paths.csv", paths)
     write_field_csv(out / "field.csv", fld)
     write_mask_csv(out / "levelset.csv", mask, grid)
-    svg = render_four_panel_svg(cloud.points, paths, paths.trim_hint, mask, grid)
+    svg = render_four_panel_svg(cloud.points, paths, mask, grid)
     with open(out / "figure.svg", "w", encoding="utf-8") as f:
         f.write(svg)
     with open(out / "estimate.json", "w", encoding="utf-8") as f:
@@ -455,8 +453,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out", default=".")
     p.add_argument("--h", type=float, default=None, help="KDE bandwidth")
     p.add_argument("--nu", type=float, default=None, help="path-distance bandwidth")
-    p.add_argument("--c-h", type=float, default=0.125, dest="c_h")
-    p.add_argument("--c-nu", type=float, default=0.125, dest="c_nu")
+    p.add_argument("--c-h", type=float, default=C_H, dest="c_h")
+    p.add_argument("--c-nu", type=float, default=C_NU, dest="c_nu")
     p.add_argument("--grid", type=int, default=120, help="grid nodes per axis")
     p.add_argument("--bounds", default=None, help="xmin,xmax,ymin,ymax")
     p.add_argument("--quantile", type=float, default=0.9)

@@ -43,9 +43,9 @@ def _scatter(tr, points, color, r=1.6):
     )
 
 
-def _polylines(tr, paths, trims, color, width=0.6):
+def _polylines(tr, paths, color, width=0.6):
     """Panels B and C: one polyline per path of two or more vertices, first
-    whole, then without its first paths.trim_drop(trims)[i] vertices. Each
+    whole, then without its first paths.trim_hint[i] vertices. Each
     vertex is formatted once: to_px maps coordinates one by one, and a
     trimmed path is a suffix of its path, so panel C slices panel B's
     strings."""
@@ -58,7 +58,7 @@ def _polylines(tr, paths, trims, color, width=0.6):
             f'<polyline points="{" ".join(xy[lo:hi])}" fill="none" '
             f'stroke="{color}" stroke-width="{width}"/>'
             for lo, hi in zip(first.tolist(), ends) if hi - lo >= 2)
-    return panel(starts), panel(starts + paths.trim_drop(trims))
+    return panel(starts), panel(starts + paths.trim_hint)
 
 
 def _mask_rects(tr, mask, grid: GridSpec, color):
@@ -72,12 +72,11 @@ def _mask_rects(tr, mask, grid: GridSpec, color):
     return "".join(out)
 
 
-def render_four_panel_svg(points: np.ndarray, paths, trims,
-                          mask, grid: GridSpec) -> str:
-    """Panels over the grid's rectangle: (A) data, (B) all paths, (C) the
-    paths trimmed by trims (see PathEnsemble.trim_drop), (D) level-set mask."""
+def render_four_panel_svg(points: np.ndarray, paths, mask, grid: GridSpec) -> str:
+    """Panels over the grid's rectangle: (A) data, (B) all paths, (C) each
+    path from its trim hint on, (D) level-set mask."""
     tr = _Transform(grid)
-    all_paths, trimmed_paths = _polylines(tr, paths, trims, "#1f6fb2")
+    all_paths, trimmed_paths = _polylines(tr, paths, "#1f6fb2")
     width = 2 * (_PANEL + _MARGIN) + _GAP + _MARGIN
     height = 2 * (_PANEL + _MARGIN) + _GAP + _MARGIN
 

@@ -18,8 +18,8 @@ from .geometry import segment_distances
 from .grids import GridField, GridSpec
 from .model import FilamentModel
 from .parallel import map_indexed
-from .path_density import (SIMPLIFY_TOLERANCE, PathEnsemble, default_bandwidths,
-                           path_density_field)
+from .path_density import (C_H, C_NU, SIMPLIFY_TOLERANCE, PathEnsemble,
+                           default_bandwidths, path_density_field)
 
 
 @dataclass(frozen=True)
@@ -93,28 +93,34 @@ def point_density_estimate(segs: PathEnsemble, x, r1: float) -> MonteCarloEstima
     return MonteCarloEstimate(value=float(a.mean()), std_error=se, n_mc=n)
 
 
-_HIT_BLOCK = 30_000  # pairs per (segment, stencil node) block, and segments per gather
+_HIT_BLOCK = 30_000  # pairs per (segment, stencil node) slice, and segments per gather
+_MARKS = 1 << 20  # (path, node) marks per radius in one gather
+_EXCLUSION = 2.0  # convergence_experiment's probe exclusion, in largest nu
 
 
 def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
     """Per-node counts of paths passing within each radius.
 
-    Returns an int array of shape (len(radii), nx, ny); each path is counted
-    at most once per node. Costs O(total segments x local stencil): segments
-    are taken in blocks of about 3e4 (segment, stencil node) pairs, and each
-    hit is keyed path * n_nodes + node so that np.unique drops a path's repeat
-    hits on a node; the keys of a path cut by a block's end join the next
-    block's.
+    Returns an int array of shape (len(radii), nx, ny) that counts each path
+    at most once per node, in O(total segments x local stencil). Each gather
+    takes whole paths (at most about 3e4 segments and 2^20 / nodes paths) in
+    slices of about 3e4 (segment, stencil node) pairs. A hit marks its (path,
+    node) for its radius, so repeat hits count once; after the gather each
+    node's count gains its marked paths and the marks are cleared.
     """
     radii = [_check_radius(r) for r in radii]
     n_nodes = grid.nx * grid.ny
     counts = np.zeros((len(radii), n_nodes), dtype=np.int64)
-    carry = [np.empty(0, dtype=np.int64)] * len(radii)
     xs0, ys0, dx, dy = grid.xmin, grid.ymin, grid.dx, grid.dy
-    n_seg = len(segs.seg_a)
-    # one gather serves many blocks: its cost is mostly per call
-    for start in range(0, n_seg, _HIT_BLOCK):
-        seg, path = segs.segment_block(start, min(start + _HIT_BLOCK, n_seg))
+    offsets, bounds = segs.offsets, [0]
+    while bounds[-1] < segs.n_paths:  # whole paths: no marks outlive their gather
+        p0 = bounds[-1]
+        bounds.append(max(p0 + 1, min(p0 + _MARKS // n_nodes, np.searchsorted(
+            offsets, offsets[p0] + _HIT_BLOCK, "right") - 1)))
+    marks = np.zeros((len(radii), max(np.diff(bounds)), n_nodes), dtype=bool)
+    flat = marks.reshape(len(radii), -1)
+    for p0, p1 in zip(bounds, bounds[1:]):
+        seg, path = segs.segment_block(offsets[p0], offsets[p1])
         # nodes within the largest radius of a segment lie within reach of its
         # midpoint; the stencil's one-node margin covers rounding of the midpoint
         longest = np.sqrt(np.max(seg.len2, where=np.isfinite(seg.len2), initial=0.0))
@@ -123,8 +129,7 @@ def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
         hy = int(np.ceil(reach / dy)) + 1
         offs_x, offs_y = np.meshgrid(np.arange(-hx, hx + 1), np.arange(-hy, hy + 1),
                                      indexing="ij")
-        offs_x = offs_x.ravel()
-        offs_y = offs_y.ravel()
+        offs_x, offs_y = offs_x.ravel(), offs_y.ravel()
         per_block = max(1, _HIT_BLOCK // len(offs_x))
         bi = np.rint((seg.ax + 0.5 * seg.dx - xs0) / dx).astype(np.int64)
         bj = np.rint((seg.ay + 0.5 * seg.dy - ys0) / dy).astype(np.int64)
@@ -135,15 +140,12 @@ def path_hit_counts(segs: PathEnsemble, grid: GridSpec, radii) -> np.ndarray:
             ok = (ii >= 0) & (ii < grid.nx) & (jj >= 0) & (jj < grid.ny)
             nodes = np.stack([xs0 + ii * dx, ys0 + jj * dy], axis=-1)
             dist = segment_distances(nodes, seg.part((b, None)))  # (segments, stencil)
-            keys = path[b, None] * n_nodes + (ii * grid.ny + jj)
-            # u is sorted, so the keys of the block's last path, which may go
-            # on in the next block, are its tail (none after the final block)
-            tail = path[b][-1] if start + lo + per_block < n_seg else segs.n_paths
+            keys = (path[b, None] - p0) * n_nodes + (ii * grid.ny + jj)
             for k, r in enumerate(radii):
-                u = np.unique(np.concatenate([carry[k], keys[ok & (dist <= r)]]))
-                cut = np.searchsorted(u, tail * n_nodes)
-                carry[k] = u[cut:]
-                counts[k] += np.bincount(u[:cut] % n_nodes, minlength=n_nodes)
+                flat[k, keys[ok & (dist <= r)]] = True
+        # an int32 sum takes half the time of an int64 one and cannot overflow
+        counts += marks[:, :p1 - p0].sum(axis=1, dtype=np.int32)
+        marks[:, :p1 - p0] = False
     return counts.reshape(len(radii), grid.nx, grid.ny)
 
 
@@ -209,9 +211,9 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
     For each sample size and replicate: draw, trace mean-shift paths and
     simplify them at SIMPLIFY_TOLERANCE nu as `estimate` does, estimate on the
     probe grid with the default rate-optimal bandwidths, and take the sup of
-    |estimate - truth| over the kept probes. The probe set is fixed
-    across the whole sweep: probes within twice the largest nu of the sweep
-    of any true maximum or saddle are dropped (a per-run exclusion would
+    |estimate - truth| over the kept probes. The probe set is fixed across
+    the whole sweep: probes within _EXCLUSION times the largest nu of the
+    sweep of any true maximum or saddle are dropped (a per-run exclusion would
     expose more of the near-mode divergence as n grows and mask the decay).
     The truth raster is shared across runs. Its trace and the critical-point
     search run as two tasks on the workers, and then the runs, each seeded.
@@ -247,7 +249,7 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
         return n, rep, bw.nu, est.values.ravel()
 
     runs = map_indexed(run, range(len(run_seeds)))
-    keep = d_excl > 2.0 * max(nu for _, _, nu, _ in runs)
+    keep = d_excl > _EXCLUSION * max(nu for _, _, nu, _ in runs)
     rows = [(n, rep, float(np.max(np.abs(est[keep] - truth[keep]))))
             for n, rep, _, est in runs]
     median_rows = [(n, rep, float(np.median(np.abs(est[keep] - truth[keep]))))
@@ -257,7 +259,5 @@ def convergence_experiment(model: FilamentModel, n_list, replicates: int,
     return RateTable(rows=rows, slope=slope, slope_stderr=stderr, ci95=ci,
                      median_rows=median_rows, truth_unconverged=unconverged,
                      meta={"seed": seed, "oracle_n_mc": oracle_n_mc,
-                           "oracle_r1": oracle_r1,
-                           # default_bandwidths' constants and the exclusion
-                           # factor above
-                           "c_h": 0.125, "c_nu": 0.125, "exclusion_factor": 2.0})
+                           "oracle_r1": oracle_r1, "c_h": C_H, "c_nu": C_NU,
+                           "exclusion_factor": _EXCLUSION})

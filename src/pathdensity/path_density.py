@@ -28,8 +28,12 @@ class BandwidthPlan:
             raise ValueError("bandwidths must be positive and finite")
 
 
-def default_bandwidths(n: int, spread: float, c_h: float = 0.125,
-                       c_nu: float = 0.125) -> BandwidthPlan:
+# the default constants of the bandwidth schedule (--c-h and --c-nu)
+C_H, C_NU = 0.125, 0.125
+
+
+def default_bandwidths(n: int, spread: float, c_h: float = C_H,
+                       c_nu: float = C_NU) -> BandwidthPlan:
     """Rate-optimal schedule: h ~ (log n)^(1/4) / n^(1/8), nu ~ log(n) / n^(1/3),
     both scaled by the data spread."""
     if n < 2:
@@ -101,12 +105,6 @@ class PathEnsemble:
         return PathEnsemble(self.vertices[lo:hi], np.array([0, hi - lo]),
                             self.times[lo:hi], self.converged[i:i + 1],
                             self.trim_hint[i:i + 1])
-
-    def trim_drop(self, trims) -> np.ndarray:
-        """How many leading vertices each path drops when trimmed by trims[i]
-        (a scalar trims every path alike): each path keeps at least its last
-        vertex."""
-        return np.clip(trims, 0, np.diff(self.vertex_offsets) - 1)
 
     def simplified(self, eps: float) -> "PathEnsemble":
         """A Douglas-Peucker copy: every path keeps its first and last vertex,

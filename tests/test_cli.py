@@ -241,6 +241,16 @@ def test_trim_counts_iterates_of_the_simplified_paths(pentagon_points, tmp_path)
     assert _panel_polylines(svg, 2) == expected
 
 
+def test_trim_past_every_path_leaves_panel_c_empty(pentagon_points, tmp_path):
+    # each path keeps only its last vertex, too few for a polyline
+    out = tmp_path / "t"
+    assert run("estimate", "--points", str(pentagon_points / "points.csv"),
+               "--out", str(out), "--grid", "30", "--trim", "100000") == 0
+    svg = (out / "figure.svg").read_text()
+    assert _panel_polylines(svg, 1)
+    assert _panel_polylines(svg, 2) == []
+
+
 def test_estimate_malformed_csv_exits_3_with_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n0.1,0.2\n0.3\n0.5,0.6\n")

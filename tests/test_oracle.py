@@ -4,7 +4,8 @@ import pytest
 from pathdensity import oracle
 from pathdensity.flow import find_critical_points, trace_ascent_paths
 from pathdensity.grids import GridSpec
-from pathdensity.model import cluster_model, two_gaussian_model
+from pathdensity.model import (cluster_model, random_pentagon_model,
+                               two_gaussian_model)
 from pathdensity.oracle import (ball_hit_estimate, convergence_experiment,
                                 default_r1, model_flow_config, oracle_field,
                                 path_hit_counts, point_density_estimate,
@@ -138,20 +139,45 @@ def _hit_count_case(case):
     return segs, GridSpec(0.0, 1.0, 0.0, 1.0, 11, 11), [0.15, 0.02]
 
 
-# 60,000 is the default block; 250 (segment, node) pairs give blocks of 10
+# A gather takes whole paths, up to _HIT_BLOCK segments and _MARKS / nodes
+# paths, and works through them in blocks of _HIT_BLOCK (segment, node)
+# pairs. At the default _MARKS, 60,000 takes each case in one gather; 250
+# gathers a few paths at a time (the 6,999-segment one alone) in blocks of 10
 # segments on the traced case's 5 x 5 stencil, which cut most of its paths
-# (39 to 50 segments from the 10th to the 90th percentile); 1 gives
-# one-segment blocks
-@pytest.mark.parametrize("hit_block", [60_000, 250, 1])
+# (39 to 50 segments from the 10th to the 90th percentile); 1 gathers one
+# path at a time in one-segment blocks. _MARKS of one grid's nodes gathers
+# one path at a time, and of three grids' nodes three paths, so each node
+# is marked again in later gathers and counts only if the marks were cleared.
+@pytest.mark.parametrize("hit_block, marks", [
+    pytest.param(b, m, id=str(b) if m is None else f"{b}-marks{m}")
+    for m in (None, 1, 3) for b in (60_000, 250, 1)])
 @pytest.mark.parametrize("case", ["traced", "polylines"])
-def test_hit_counts_match_direct_distances(monkeypatch, case, hit_block):
+def test_hit_counts_match_direct_distances(monkeypatch, case, hit_block, marks):
     monkeypatch.setattr(oracle, "_HIT_BLOCK", hit_block)
     segs, grid, radii = _hit_count_case(case)
+    if marks is not None:  # in paths per gather
+        monkeypatch.setattr(oracle, "_MARKS", marks * grid.nx * grid.ny)
     counts = path_hit_counts(segs, grid, radii)
     nodes = grid.nodes()
     for k, r in enumerate(radii):
         direct = np.array([(segs.distances(p)[0] <= r).sum() for p in nodes])
         np.testing.assert_array_equal(counts[k].ravel(), direct)
+
+
+def test_hit_counts_run_in_bounded_memory():
+    # a gather holds whole paths, here the 6,999-segment wave amid 1,000
+    # traced pentagon paths, and the marks about 2^20 bytes a radius;
+    # one (segment, stencil node) block over all 44,905 segments would take
+    # hundreds of MB
+    model = random_pentagon_model(np.random.default_rng(1))[0]
+    traced = [p.vertices for p in sample_and_trace(model, 1000,
+                                                   np.random.default_rng(2))]
+    wave = _hit_count_case("polylines")[0][1].vertices
+    segs = polyline_ensemble(traced[:500] + [wave] + traced[500:])
+    r1 = default_r1(model)
+    peak = traced_peak_mb(path_hit_counts, segs,
+                          GridSpec.from_bounds(model.box, 200), [r1, 2 * r1])
+    assert peak < 10.0
 
 
 BAD_RADII = [np.nan, -1.0, 0.0, np.inf]

@@ -42,15 +42,6 @@ def test_distance_perpendicular_foot():
     assert distance_to_path([0.5, 1.0], p) == pytest.approx(1.0)
 
 
-def test_trim_reduces_to_terminal_vertex():
-    p = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
-    ens = polyline_ensemble([p, p, p])
-    # per-path trims 0, 1 and beyond the path length keep the last vertex
-    np.testing.assert_array_equal(ens.trim_drop(np.array([0, 1, 10])), [0, 1, 2])
-    # a scalar trim at the path length also keeps the last vertex
-    np.testing.assert_array_equal(ens.trim_drop(3), [2, 2, 2])
-
-
 # coarse coordinates repeat often, giving zero-length segments and queries
 # that sit exactly on a vertex; fine ones give general position
 coord = st.one_of(st.integers(-3, 3).map(lambda k: k / 2.0),
